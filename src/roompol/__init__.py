@@ -9,7 +9,7 @@ from .measurement import (
     db_linear_convert,
     observed_pds,
 )
-from .mirror import ImageSource, SimConfig, enumerate_images, simulate_pdp
+from .mirror import ImageLattice, SimConfig, enumerate_images, simulate_pdp
 from .model import (
     SPEED_OF_LIGHT,
     DirectPath,

@@ -8,6 +8,7 @@ and seed. Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -116,15 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg.require("mu_t", "antennas")
     sim_cfg = cfg.sim
     if args.seed is not None:
-        sim_cfg = mirror.SimConfig(
-            n_realizations=sim_cfg.n_realizations,
-            bin_width=sim_cfg.bin_width,
-            max_delay=sim_cfg.max_delay,
-            rng_seed=args.seed,
-            placement=sim_cfg.placement,
-            distance=sim_cfg.distance,
-            los=sim_cfg.los,
-        )
+        sim_cfg = dataclasses.replace(sim_cfg, rng_seed=args.seed)
     co_sim, cross_sim = mirror.simulate_pdp(
         cfg.room, cfg.material, cfg.mu_t, cfg.mu_r, cfg.wavelength, sim_cfg,
         workers=args.workers,

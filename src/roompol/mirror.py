@@ -8,6 +8,14 @@ placements estimates the power delay profile without using any closed-form
 expression or the delay-based bounce-count approximation: every image
 carries its exact interaction count. This makes the simulator an
 independent validation oracle for the model module.
+
+The lattice is built once per run, as arrays, by `enumerate_images`. Each
+cell pairs one mirror entry per axis; wherever the transmitter sits in the
+room, the cell's image lies in a box of the room's size. Only cells whose
+box lies within reach = c * max_delay of the room are kept (Allen & Berkley,
+JASA 65(4), 1979). The distance from that box to the room is a lower bound
+on every image-to-receiver distance, so a dropped cell could only produce
+arrivals at or beyond max_delay, which the simulator discards anyway.
 """
 
 from __future__ import annotations
@@ -26,13 +34,7 @@ _CHUNK = 2048  # realizations per work unit; fixed so results never depend on wo
 
 _PLACEMENTS = ("uniform", "fixed")
 
-
-@dataclass(frozen=True)
-class ImageSource:
-    """One mirror image of the transmitter: position and exact bounce count."""
-
-    position: np.ndarray
-    bounces: int
+_REACH_SLACK = 1e-9  # relative; see enumerate_images
 
 
 @dataclass(frozen=True)
@@ -98,41 +100,75 @@ def _axis_images(length: float, span: float):
     return offsets, signs, bounces, direct
 
 
-def enumerate_images(room: RoomGeometry, tx, reach: float) -> list[ImageSource]:
-    """All mirror images within Euclidean distance `reach` of the room box.
+@dataclass(frozen=True)
+class ImageLattice:
+    """Mirror-image cells within reach of the room, as flat arrays.
 
-    Guarantees that no arrival with delay <= reach / c is missed for any
-    receiver inside the room, since the image-to-receiver distance is never
-    smaller than the image-to-box distance. The result is a deterministic,
-    order-stable list; the zeroth entry group contains the transmitter
-    itself with zero bounces.
+    `offsets[i]` and `signs[i]` are the mirror tables of axis i (see
+    `_axis_images`). Cell k takes entry `cells[i][k]` of each table, so its
+    image coordinate along axis i is `offsets[i][j] + signs[i][j] * tx[i]`
+    with `j = cells[i][k]`. Cells are in lexicographic (x, y, z) order;
+    `bounces` holds each cell's exact wall-interaction count and `direct`
+    flags the cell of the transmitter itself.
     """
-    tx = np.asarray(tx, dtype=float)
-    if tx.shape != (3,):
-        raise ValueError(f"transmitter position must be a 3-vector, got shape {tx.shape}")
-    dims = (room.lx, room.ly, room.lz)
-    for i, l in enumerate(dims):
-        if not 0.0 < tx[i] < l:
-            raise ValueError(
-                f"transmitter must lie strictly inside the room; axis {i} "
-                f"coordinate {tx[i]} not in (0, {l})"
-            )
+
+    dims: tuple[float, float, float]
+    offsets: tuple[np.ndarray, np.ndarray, np.ndarray]
+    signs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bounces: np.ndarray
+    direct: np.ndarray
+
+    def positions(self, tx) -> np.ndarray:
+        """Image positions, shape (n_cells, 3), of a transmitter inside the room."""
+        tx = np.asarray(tx, dtype=float)
+        if tx.shape != (3,):
+            raise ValueError(f"transmitter position must be a 3-vector, got shape {tx.shape}")
+        for i, l in enumerate(self.dims):
+            if not 0.0 < tx[i] < l:
+                raise ValueError(
+                    f"transmitter must lie strictly inside the room; axis {i} "
+                    f"coordinate {tx[i]} not in (0, {l})"
+                )
+        return np.stack(
+            [
+                off[idx] + sign[idx] * t
+                for off, sign, idx, t in zip(self.offsets, self.signs, self.cells, tx)
+            ],
+            axis=1,
+        )
+
+
+def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
+    """The lattice cells whose image box lies within distance `reach` of the room.
+
+    As the transmitter moves through the room, an even-type image on one
+    axis sweeps [offset, offset + L] and an odd-type one [offset - L, offset];
+    a cell's box is the product of its three intervals. The box-to-room
+    distance is a lower bound on every image-to-receiver distance, so the
+    kept cells hold every arrival with delay below reach / c, for every
+    transmitter and receiver inside the room. The relative slack on `reach`
+    keeps that guarantee when rounding shifts a squared distance by an ulp.
+    """
     if not reach > 0:
         raise ValueError(f"reach must be > 0, got {reach}")
-
+    dims = (room.lx, room.ly, room.lz)
     per_axis = [_axis_images(l, reach) for l in dims]
-    coords = [off + sign * tx[i] for i, (off, sign, _, _) in enumerate(per_axis)]
-    cx, cy, cz = np.meshgrid(*coords, indexing="ij")
-    bx, by, bz = np.meshgrid(*(a[2] for a in per_axis), indexing="ij")
-    positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
-    bounces = (bx + by + bz).ravel()
-
-    outside = np.maximum(0.0, np.maximum(-positions, positions - np.array(dims)))
-    keep = np.einsum("ij,ij->i", outside, outside) <= reach * reach
-    return [
-        ImageSource(position=pos, bounces=int(b))
-        for pos, b in zip(positions[keep], bounces[keep])
-    ]
+    gap2 = []
+    for l, (off, sign, _, _) in zip(dims, per_axis):
+        lo = off - l * (sign < 0)
+        gap = np.maximum(0.0, np.maximum(lo - l, -(lo + l)))
+        gap2.append(gap * gap)
+    near = gap2[0][:, None, None] + gap2[1][None, :, None] + gap2[2][None, None, :]
+    cells = np.nonzero(near <= (reach * (1.0 + _REACH_SLACK)) ** 2)
+    return ImageLattice(
+        dims=dims,
+        offsets=tuple(a[0] for a in per_axis),
+        signs=tuple(a[1] for a in per_axis),
+        cells=cells,
+        bounces=sum(a[2][idx] for a, idx in zip(per_axis, cells)),
+        direct=np.logical_and.reduce([a[3][idx] for a, idx in zip(per_axis, cells)]),
+    )
 
 
 def _sample_uniform(rng: np.random.Generator, n: int, dims: np.ndarray):
@@ -174,7 +210,7 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
 
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate binned co/cross powers for one chunk of realizations."""
-    (seed_seq, n, dims, axes, g_pow, mix_co, mix_cross, keep_img,
+    (seed_seq, n, dims, lattice, g_pow, mix_co, mix_cross, keep_img,
      lam, c, bin_width, n_bins, max_delay, placement, distance) = args
     rng = np.random.default_rng(seed_seq)
     if placement == "uniform":
@@ -182,17 +218,17 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     else:
         tx, rx = _sample_fixed(rng, n, dims, distance)
 
-    d2 = None
-    for i, (off, sign) in enumerate(axes):
-        coord = off[None, :] + sign[None, :] * tx[:, i : i + 1]
-        sq = (coord - rx[:, i : i + 1]) ** 2
-        if i == 0:
-            d2 = sq[:, :, None, None]
-        elif i == 1:
-            d2 = d2 + sq[:, None, :, None]
-        else:
-            d2 = d2 + sq[:, None, None, :]
-    d2 = d2.reshape(n, -1)
+    # Summed as (x + y) + z, realization-major over the kept cells: the same
+    # terms in the same order as over the full cube, so every bin sum is
+    # bit-identical to the unpruned computation.
+    sq = [
+        (off[None, :] + sign[None, :] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
+        for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
+    ]
+    ix, iy, iz = lattice.cells
+    d2 = sq[0][:, ix]
+    d2 += sq[1][:, iy]
+    d2 += sq[2][:, iz]
 
     tau = np.sqrt(d2) / c
     mask = (tau < max_delay) & (d2 > 0.0) & keep_img[None, :]
@@ -229,7 +265,8 @@ def simulate_pdp(
     """Estimate co- and cross-channel power delay profiles by Monte Carlo.
 
     Each realization places transmitter and receiver per cfg.placement,
-    evaluates every mirror image's arrival exactly (delay from the true
+    evaluates the arrival of every mirror image that `enumerate_images`
+    keeps for reach c * max_delay exactly (delay from the true
     image distance, attenuation from the exact bounce count), and adds its
     power to the delay bin containing the arrival; bins are left-closed,
     right-open and an arrival at exactly max_delay is discarded. Bin sums
@@ -254,12 +291,8 @@ def simulate_pdp(
     if n_bins < 1:
         raise ValueError("delay range must contain at least one bin")
 
-    span = speed_of_light * cfg.max_delay
-    per_axis = [_axis_images(l, span) for l in dims]
-    bx, by, bz = np.meshgrid(*(a[2] for a in per_axis), indexing="ij")
-    bounces = (bx + by + bz).ravel()
-    dx, dy, dz = np.meshgrid(*(a[3] for a in per_axis), indexing="ij")
-    is_direct = (dx & dy & dz).ravel()
+    lattice = enumerate_images(room, speed_of_light * cfg.max_delay)
+    bounces = lattice.bounces
 
     g, gamma = material.g, material.gamma
     lam2_pow = ((1.0 - gamma) / (1.0 + gamma)) ** bounces
@@ -273,9 +306,8 @@ def simulate_pdp(
 
     keep_img = np.ones(bounces.size, dtype=bool)
     if cfg.placement == "fixed" and not cfg.los:
-        keep_img &= ~is_direct
+        keep_img &= ~lattice.direct
 
-    axes = [(a[0], a[1]) for a in per_axis]
     n_chunks = (cfg.n_realizations + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
     tasks = []
@@ -284,7 +316,7 @@ def simulate_pdp(
         n = min(_CHUNK, remaining)
         remaining -= n
         tasks.append((
-            seeds[i], n, dims, axes, g_pow, mix_co, mix_cross, keep_img,
+            seeds[i], n, dims, lattice, g_pow, mix_co, mix_cross, keep_img,
             wavelength, speed_of_light, cfg.bin_width, n_bins, cfg.max_delay,
             cfg.placement, cfg.distance,
         ))
