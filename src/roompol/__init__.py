@@ -20,9 +20,11 @@ from .model import (
     WallMaterial,
     bounce_matrix,
     bounce_matrix_power,
+    channel_pair,
     co_cross_ratio,
     cpr,
     cpr_distance,
+    direct_path,
     mixing_constant,
     mixing_time,
     pds,

@@ -31,33 +31,24 @@ def _fmt(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.6g}"
 
 
-def _channel_params(cfg: RunConfig) -> tuple[model.PdsParams, model.PdsParams]:
-    """Co channel uses the configured gains; cross channel swaps receive entries."""
-    co = model.PdsParams(
+def _params(cfg: RunConfig) -> model.PdsParams:
+    """Model parameters of the configured (co-polarized) channel."""
+    return model.PdsParams(
         room=cfg.room,
         material=cfg.material,
         mu_t=cfg.mu_t,
         mu_r=cfg.mu_r,
         wavelength=cfg.wavelength,
     )
-    cross = model.PdsParams(
-        room=cfg.room,
-        material=cfg.material,
-        mu_t=cfg.mu_t,
-        mu_r=cfg.mu_r.swapped(),
-        wavelength=cfg.wavelength,
-    )
-    return co, cross
 
 
-def _print_derived(cfg: RunConfig) -> None:
-    t_rev = model.reverberation_time(cfg.room, cfg.material)
-    t_mix = model.mixing_time(cfg.room, cfg.material)
-    params_co, _ = _channel_params(cfg)
-    ratio = model.cpr(params_co)
+def _print_derived(p: model.PdsParams) -> None:
+    t_rev = model.reverberation_time(p.room, p.material)
+    t_mix = model.mixing_time(p.room, p.material)
+    ratio = model.cpr(p)
     print(f"T = {_fmt(t_rev * 1e9)} ns")
     print(f"T_p = {_fmt(t_mix * 1e9)} ns")
-    print(f"mixing constant = {_fmt(model.mixing_constant(cfg.material))}")
+    print(f"mixing constant = {_fmt(model.mixing_constant(p.material))}")
     if math.isinf(ratio):
         print("CPR = inf")
     else:
@@ -65,13 +56,9 @@ def _print_derived(cfg: RunConfig) -> None:
 
 
 def _model_channel_curves(cfg: RunConfig, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    params_co, params_cross = _channel_params(cfg)
-    if cfg.cond is not None:
-        co, _ = model.pds_conditional(tau, params_co, cfg.cond)
-        cross, _ = model.pds_conditional(tau, params_cross, cfg.cond)
-    else:
-        co = model.pds(tau, params_co)
-        cross = model.pds(tau, params_cross)
+    co, cross = (
+        model.pds_conditional(tau, p, cfg.cond)[0] for p in model.channel_pair(_params(cfg))
+    )
     return co, cross
 
 
@@ -81,9 +68,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg.require("material", "material")
     cfg.require("mu_t", "antennas")
     tau = cfg.grid
-    params_co, _ = _channel_params(cfg)
+    params = _params(cfg)
     co, cross = _model_channel_curves(cfg, tau)
-    asym = model.pds_asymptote(tau, params_co)
+    asym = model.pds_asymptote(tau, params)
     io.write_report_csv(
         args.out,
         [
@@ -95,12 +82,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ],
         [io.format_delay_ns] + [io.format_db] * 4,
     )
-    _print_derived(cfg)
+    _print_derived(params)
     if cfg.cond is not None:
-        ratio_d = model.cpr_distance(params_co, cfg.cond)
+        ratio_d = model.cpr_distance(params, cfg.cond)
         state = "LOS" if cfg.cond.los else "NLOS"
         print(f"CPR(d={_fmt(cfg.cond.distance)} m, {state}) = {_fmt(ratio_d)}")
-        _, spike = model.pds_conditional(tau[:2], params_co, cfg.cond)
+        spike = model.direct_path(params, cfg.cond)
         if spike is not None:
             print(
                 f"direct path: delay = {_fmt(spike.delay * 1e9)} ns, "
@@ -188,12 +175,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"weakly identified (gamma, xi) = {'yes' if result.weakly_identified else 'no'}")
 
     co_fit, cross_fit = fitting.predict(result, cfg.cond, problem)
-    fitted_material = model.WallMaterial(g=result.g, gamma=result.gamma)
-    mu = model.PolGain.from_split(result.xi)
-    fitted_params = model.PdsParams(
-        room=cfg.room, material=fitted_material, mu_t=mu, mu_r=mu,
-        wavelength=cfg.wavelength,
-    )
+    fitted_params = fitting.split_params(problem, result.g, result.gamma, result.xi)
     tau = co_trace.delays
     io.write_report_csv(
         args.out,
@@ -220,14 +202,14 @@ def cmd_cpr(args: argparse.Namespace) -> int:
     cfg.require("cpr_distances", "cpr")
     cfg.require("material", "material")
     cfg.require("mu_t", "antennas")
-    params_co, _ = _channel_params(cfg)
+    params = _params(cfg)
     distances = np.array(cfg.cpr_distances)
     nlos = np.array([
-        _db_scalar(model.cpr_distance(params_co, model.DistanceCondition(d, los=False)))
+        _db_scalar(model.cpr_distance(params, model.DistanceCondition(d, los=False)))
         for d in distances
     ])
     los = np.array([
-        _db_scalar(model.cpr_distance(params_co, model.DistanceCondition(d, los=True)))
+        _db_scalar(model.cpr_distance(params, model.DistanceCondition(d, los=True)))
         for d in distances
     ])
     io.write_report_csv(

@@ -45,7 +45,6 @@ class RunConfig:
     mu_r: PolGain | None = None
     cond: DistanceCondition | None = None
     pulse: PulseShape | None = None
-    noise_power: float = 0.0
     grid: np.ndarray | None = None
     sim: SimConfig | None = None
     fit: FitSettings | None = None
@@ -58,7 +57,7 @@ class RunConfig:
 
 _SECTIONS = {
     "room", "carrier", "material", "antennas", "link",
-    "pulse", "noise", "grid", "simulation", "fit", "cpr",
+    "pulse", "grid", "simulation", "fit", "cpr",
 }
 
 
@@ -269,14 +268,6 @@ def load_run_config(path: str) -> RunConfig:
             bandwidth=_number("pulse", pulse_data, "bandwidth_hz", required=True),
         )
 
-    noise_power = 0.0
-    noise_data = _section(doc, "noise")
-    if noise_data is not None:
-        _check_keys("noise", noise_data, {"power"})
-        noise_power = _number("noise", noise_data, "power", required=True)
-        if noise_power < 0:
-            raise ConfigError("'noise.power' must be >= 0")
-
     grid = None
     grid_data = _section(doc, "grid")
     if grid_data is not None:
@@ -367,7 +358,6 @@ def load_run_config(path: str) -> RunConfig:
         mu_r=mu_r,
         cond=cond,
         pulse=pulse,
-        noise_power=noise_power,
         grid=grid,
         sim=sim,
         fit=fit,

@@ -19,12 +19,12 @@ from scipy.special import expit, logit
 
 from .measurement import ObservationParams, PdpTrace, PulseShape, observed_pds
 from .model import (
-    SPEED_OF_LIGHT,
     DistanceCondition,
     PdsParams,
     PolGain,
     RoomGeometry,
     WallMaterial,
+    channel_pair,
     cpr,
     mixing_constant,
     mixing_time,
@@ -54,7 +54,6 @@ class FitProblem:
     bounds: tuple[tuple[float, float], ...] = _DEFAULT_BOUNDS
     method: str = "least_squares"
     max_iterations: int = 2000
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -118,27 +117,33 @@ def _window_mask(problem: FitProblem) -> np.ndarray:
     return (grid >= t0 - eps) & (grid <= t1 + eps)
 
 
-def channel_gains(xi: float) -> tuple[PolGain, PolGain, PolGain]:
-    """Transmit gain plus co- and cross-channel receive gains for a split xi."""
+def split_params(problem: FitProblem, g: float, gamma: float, xi: float) -> PdsParams:
+    """Co-channel parameters for wall gain g, leakage gamma and antenna split xi.
+
+    Both antennas take the split gain [1 - xi, xi]; `channel_pair` gives the
+    cross channel from it.
+    """
     mu = PolGain.from_split(xi)
-    return mu, mu, mu.swapped()
+    return PdsParams(
+        room=problem.room,
+        material=WallMaterial(g=g, gamma=gamma),
+        mu_t=mu,
+        mu_r=mu,
+        wavelength=problem.wavelength,
+    )
 
 
-def _model_traces(params, problem: FitProblem) -> tuple[np.ndarray, np.ndarray]:
+def _model_traces(
+    params, problem: FitProblem, cond: DistanceCondition | None
+) -> tuple[np.ndarray, np.ndarray]:
     g, gamma, xi, noise = params
-    material = WallMaterial(g=g, gamma=gamma)
-    mu_t, mu_r_co, mu_r_cross = channel_gains(xi)
     obs = ObservationParams(pulse=problem.pulse, noise_power=noise)
     grid = problem.co_trace.delays
-    common = dict(
-        room=problem.room,
-        material=material,
-        wavelength=problem.wavelength,
-        speed_of_light=problem.speed_of_light,
+    co, cross = (
+        observed_pds(grid, p, cond, obs).values
+        for p in channel_pair(split_params(problem, g, gamma, xi))
     )
-    co = observed_pds(grid, PdsParams(mu_t=mu_t, mu_r=mu_r_co, **common), problem.cond, obs)
-    cross = observed_pds(grid, PdsParams(mu_t=mu_t, mu_r=mu_r_cross, **common), problem.cond, obs)
-    return co.values, cross.values
+    return co, cross
 
 
 def residual(params, problem: FitProblem) -> np.ndarray:
@@ -154,7 +159,7 @@ def residual(params, problem: FitProblem) -> np.ndarray:
     if not noise > 0:
         raise ValueError(f"noise power must be > 0, got {noise}")
     mask = _window_mask(problem)
-    co_lin, cross_lin = _model_traces(params, problem)
+    co_lin, cross_lin = _model_traces(params, problem, problem.cond)
     res_co = 10.0 * np.log10(co_lin[mask]) - problem.co_trace.values[mask]
     res_cross = 10.0 * np.log10(cross_lin[mask]) - problem.cross_trace.values[mask]
     return np.concatenate([res_co, res_cross])
@@ -281,16 +286,8 @@ def fit(problem: FitProblem) -> FitResult:
             xi = folded
     final_res = residual((g, gamma, xi, noise), problem)
     objective_final = float(np.dot(final_res, final_res))
-    material = WallMaterial(g=g, gamma=gamma)
-    mu_t, mu_r_co, _ = channel_gains(xi)
-    params = PdsParams(
-        room=problem.room,
-        material=material,
-        mu_t=mu_t,
-        mu_r=mu_r_co,
-        wavelength=problem.wavelength,
-        speed_of_light=problem.speed_of_light,
-    )
+    params = split_params(problem, g, gamma, xi)
+    material = params.material
 
     floor_db = 10.0 * math.log10(estimate_noise_floor(problem))
     cross_peak = float(np.max(problem.cross_trace.values[mask]))
@@ -301,8 +298,8 @@ def fit(problem: FitProblem) -> FitResult:
         gamma=gamma,
         xi=xi,
         noise_power=noise,
-        t_rev=reverberation_time(problem.room, material, problem.speed_of_light),
-        t_mix=mixing_time(problem.room, material, problem.speed_of_light),
+        t_rev=reverberation_time(problem.room, material),
+        t_mix=mixing_time(problem.room, material),
         mixing_constant=mixing_constant(material),
         cpr=cpr(params),
         residual_rms_db=float(np.sqrt(np.mean(final_res**2))),
@@ -329,18 +326,7 @@ def predict(
     """
     noise = result.noise_power if noise_power is None else noise_power
     params = (result.g, result.gamma, result.xi, noise)
-    stand_in = FitProblem(
-        room=problem.room,
-        wavelength=problem.wavelength,
-        cond=cond,
-        pulse=problem.pulse,
-        co_trace=problem.co_trace,
-        cross_trace=problem.cross_trace,
-        fit_window=problem.fit_window,
-        bounds=problem.bounds,
-        speed_of_light=problem.speed_of_light,
-    )
-    co_lin, cross_lin = _model_traces(params, stand_in)
+    co_lin, cross_lin = _model_traces(params, problem, cond)
     grid = problem.co_trace.delays
     return (
         PdpTrace(delays=grid.copy(), values=co_lin, scale="linear"),

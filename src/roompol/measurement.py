@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DistanceCondition, PdsParams, pds, pds_conditional
+from .model import DistanceCondition, PdsParams, direct_path, pds_conditional
 
 _PULSE_KINDS = ("boxcar", "gaussian")
 # -3 dB matched width factor for the gaussian pulse: std = 1 / (2 pi B * 0.3)
@@ -176,13 +176,8 @@ def observed_pds(
             f"grid spacing {step:.3e} s too coarse for bandwidth "
             f"{obs.pulse.bandwidth:.3e} Hz; need spacing <= 1/(4 bandwidth)"
         )
-    if cond is None:
-        density = lambda t: pds(t, p)
-        spike = None
-    else:
-        density = lambda t: pds_conditional(t, p, cond)[0]
-        _, spike = pds_conditional(grid[:2], p, cond)
-    values = convolve_density(grid, density, obs.pulse)
+    values = convolve_density(grid, lambda t: pds_conditional(t, p, cond)[0], obs.pulse)
+    spike = direct_path(p, cond)
     if spike is not None:
         values = values + _spike_bump(grid, spike.delay, spike.weight, obs.pulse)
     values = values + obs.noise_power

@@ -29,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import PdpTrace
-from .model import SPEED_OF_LIGHT, PolGain, RoomGeometry, WallMaterial
+from .model import (
+    SPEED_OF_LIGHT,
+    PdsParams,
+    PolGain,
+    RoomGeometry,
+    WallMaterial,
+    _mu_products,
+    channel_pair,
+)
 
 _CHUNK = 2048  # realizations per work unit; fixed so results never depend on worker count
 
@@ -274,14 +282,16 @@ def simulate_pdp(
     divided by (n_realizations * bin_width) estimate power density.
 
     The co channel uses (mu_t, mu_r) as given; the cross channel swaps the
-    receive gain entries. Both are accumulated in one pass and returned as
-    linear traces on the bin-center grid. Results are bit-identical for a
-    fixed rng_seed regardless of `workers` because realizations are split
-    into fixed-size chunks with per-chunk derived seeds, reduced in chunk
-    order.
+    receive gain entries (`model.channel_pair`). Both are accumulated in one
+    pass and returned as linear traces on the bin-center grid. Results are
+    bit-identical for a fixed rng_seed regardless of `workers` because
+    realizations are split into fixed-size chunks with per-chunk derived
+    seeds, reduced in chunk order.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    p = PdsParams(
+        room=room, material=material, mu_t=mu_t, mu_r=mu_r,
+        wavelength=wavelength, speed_of_light=speed_of_light,
+    )
     dims = np.array([room.lx, room.ly, room.lz])
     if cfg.placement == "fixed" and cfg.distance >= room.diagonal():
         raise ValueError(
@@ -298,12 +308,11 @@ def simulate_pdp(
     g, gamma = material.g, material.gamma
     lam2_pow = ((1.0 - gamma) / (1.0 + gamma)) ** bounces
     g_pow = g**bounces.astype(float)
-    k_co = mu_r.mu_theta * mu_t.mu_theta + mu_r.mu_phi * mu_t.mu_phi
-    k_cross = mu_r.mu_theta * mu_t.mu_phi + mu_r.mu_phi * mu_t.mu_theta
-    # Co channel pairs (k_co, k_cross) with (1 +/- lam2^B); swapping the
-    # receive entries exchanges the two products, giving the cross channel.
-    mix_co = 0.5 * (k_co * (1.0 + lam2_pow) + k_cross * (1.0 - lam2_pow))
-    mix_cross = 0.5 * (k_cross * (1.0 + lam2_pow) + k_co * (1.0 - lam2_pow))
+    # Each channel pairs its (k_co, k_cross) with (1 +/- lam2^B).
+    mix_co, mix_cross = (
+        0.5 * (k_co * (1.0 + lam2_pow) + k_cross * (1.0 - lam2_pow))
+        for k_co, k_cross in map(_mu_products, channel_pair(p))
+    )
 
     keep_img = np.ones(bounces.size, dtype=bool)
     if cfg.placement == "fixed" and not cfg.los:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,6 +158,16 @@ def reverberation_time(
     return -4.0 * room.volume() / (speed_of_light * room.surface() * math.log(material.g))
 
 
+def _log_rho(gamma: float) -> float:
+    """ln((1-gamma)/(1+gamma)) for gamma > 0.
+
+    Below gamma ~ 1e-16 the ratio rounds to one and its log to zero; there
+    the series -2 gamma is exact to double precision.
+    """
+    ratio = (1.0 - gamma) / (1.0 + gamma)
+    return math.log(ratio) if ratio != 1.0 else -2.0 * gamma
+
+
 def mixing_time(
     room: RoomGeometry, material: WallMaterial, speed_of_light: float = SPEED_OF_LIGHT
 ) -> float:
@@ -169,8 +179,7 @@ def mixing_time(
     gamma = material.gamma
     if gamma == 0.0:
         return math.inf
-    ratio = (1.0 - gamma) / (1.0 + gamma)
-    return -4.0 * room.volume() / (speed_of_light * room.surface() * math.log(ratio))
+    return -4.0 * room.volume() / (speed_of_light * room.surface() * _log_rho(gamma))
 
 
 def mixing_constant(material: WallMaterial) -> float:
@@ -180,8 +189,7 @@ def mixing_constant(material: WallMaterial) -> float:
     """
     if material.gamma == 0.0:
         return math.inf
-    ratio = (1.0 - material.gamma) / (1.0 + material.gamma)
-    return math.log(material.g) / math.log(ratio)
+    return math.log(material.g) / _log_rho(material.gamma)
 
 
 def wall_material_from_times(
@@ -206,6 +214,11 @@ def wall_material_from_times(
         ratio = math.exp(-scale / t_mix)
         gamma = (1.0 - ratio) / (1.0 + ratio)
     return WallMaterial(g=g, gamma=gamma)
+
+
+def channel_pair(p: PdsParams) -> tuple[PdsParams, PdsParams]:
+    """Co- and cross-channel parameters: the cross channel swaps the receive gains."""
+    return p, replace(p, mu_r=p.mu_r.swapped())
 
 
 def _mu_products(p: PdsParams) -> tuple[float, float]:
@@ -388,24 +401,31 @@ def cpr(p: PdsParams) -> float:
     return (k_co / k_cross) * (1.0 + 2.0 * mixing_constant(p.material))
 
 
-def pds_conditional(tau, p: PdsParams, cond: DistanceCondition):
+def direct_path(p: PdsParams, cond: DistanceCondition | None) -> DirectPath | None:
+    """Line-of-sight spike at d/c with weight k_co * lam^2 / (4 pi d^2); None without it."""
+    if cond is None or not cond.los:
+        return None
+    k_co, _ = _mu_products(p)
+    weight = k_co * p.wavelength**2 / (4.0 * math.pi * cond.distance**2)
+    return DirectPath(delay=cond.distance / p.speed_of_light, weight=weight)
+
+
+def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
     """Power delay spectrum conditioned on the transmitter-receiver distance.
 
     The diffuse density is `pds` gated to delays strictly beyond the direct
-    delay d/c. Under line of sight the direct path additionally carries a
-    Dirac spike at d/c with weight k_co * lam^2 / (4 pi d^2), returned as a
-    separate `DirectPath` descriptor (None in non line of sight); it is
-    never added to the sampled density.
+    delay d/c. Under line of sight the direct path additionally carries the
+    Dirac spike of `direct_path`, returned as a separate `DirectPath`
+    descriptor (None in non line of sight); it is never added to the
+    sampled density. With `cond` None the distance is unknown: the density
+    is `pds` itself and there is no spike.
     """
+    if cond is None:
+        return pds(tau, p), None
     tau_arr = np.asarray(tau, dtype=float)
     scalar = tau_arr.ndim == 0
-    direct_delay = cond.distance / p.speed_of_light
-    diffuse = np.where(tau_arr > direct_delay, pds(tau_arr, p), 0.0)
-    spike = None
-    if cond.los:
-        k_co, _ = _mu_products(p)
-        weight = k_co * p.wavelength**2 / (4.0 * math.pi * cond.distance**2)
-        spike = DirectPath(delay=direct_delay, weight=weight)
+    diffuse = np.where(tau_arr > cond.distance / p.speed_of_light, pds(tau_arr, p), 0.0)
+    spike = direct_path(p, cond)
     if scalar:
         return float(diffuse), spike
     return diffuse, spike

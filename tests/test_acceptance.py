@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from roompol import (
+    SPEED_OF_LIGHT,
     DistanceCondition,
     FitProblem,
     ObservationParams,
@@ -20,6 +21,7 @@ from roompol import (
     RoomGeometry,
     SimConfig,
     WallMaterial,
+    channel_pair,
     cpr,
     cpr_distance,
     db_linear_convert,
@@ -38,7 +40,6 @@ from roompol import (
     wall_material_from_times,
 )
 from roompol.cli import main
-from roompol.fitting import channel_gains
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 LAM = 5e-3
@@ -136,12 +137,12 @@ def _synthetic_problem(g, gamma, xi, noise, db_noise_std=0.0, seed=0):
     pulse = PulseShape("boxcar", 0.5e9)
     grid = np.arange(0.0, 300e-9, 0.5e-9)
     material = WallMaterial(g=g, gamma=gamma)
-    mu_t, mu_r_co, mu_r_cross = channel_gains(xi)
+    mu = PolGain.from_split(xi)
     obs = ObservationParams(pulse=pulse, noise_power=noise)
     rng = np.random.default_rng(seed)
     traces = []
-    for mu_r in (mu_r_co, mu_r_cross):
-        p = PdsParams(room=ROOM, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=LAM)
+    co = PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
+    for p in channel_pair(co):
         trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
         trace.values = trace.values + rng.normal(0.0, db_noise_std, grid.size)
         traces.append(trace)
@@ -290,7 +291,7 @@ def test_criterion_7_los_prediction():
         nlos_co, _ = predict(result, DistanceCondition(d, los=False), problem)
         los_co, _ = predict(result, DistanceCondition(d, los=True), problem)
         diff = los_co.values - nlos_co.values
-        near = np.abs(grid - d / problem.speed_of_light) <= pulse_half + step
+        near = np.abs(grid - d / SPEED_OF_LIGHT) <= pulse_half + step
         clean &= bool(np.all(np.abs(diff[~near]) <= 1e-18)) and bool(np.max(diff) > 0)
         bumps[d] = float(np.sum(diff) * step)
     ratio = bumps[1.35] / bumps[1.8]

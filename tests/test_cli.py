@@ -9,14 +9,15 @@ from roompol import (
     ObservationParams,
     PdpTrace,
     PdsParams,
+    PolGain,
     PulseShape,
     RoomGeometry,
     WallMaterial,
+    channel_pair,
     db_linear_convert,
     observed_pds,
 )
 from roompol.cli import main
-from roompol.fitting import channel_gains
 from roompol.io import read_trace_csv, write_trace_csv
 
 BASE = """\
@@ -150,15 +151,14 @@ class TestFit:
     def make_inputs(self, tmp_path, truth=(0.4, 0.04, 0.02, 1e-11)):
         room = RoomGeometry(3.0, 4.0, 3.0)
         material = WallMaterial(truth[0], truth[1])
-        mu_t, mu_r_co, mu_r_cross = channel_gains(truth[2])
+        mu = PolGain.from_split(truth[2])
         cond = DistanceCondition(1.8, los=False)
         pulse = PulseShape("boxcar", 0.5e9)
         obs = ObservationParams(pulse=pulse, noise_power=truth[3])
         grid = np.arange(0.0, 300e-9, 0.5e-9)
         paths = {}
-        for tag, mu_r in (("co", mu_r_co), ("cross", mu_r_cross)):
-            p = PdsParams(room=room, material=material, mu_t=mu_t, mu_r=mu_r,
-                          wavelength=5e-3)
+        co = PdsParams(room=room, material=material, mu_t=mu, mu_r=mu, wavelength=5e-3)
+        for tag, p in zip(("co", "cross"), channel_pair(co)):
             trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
             path = tmp_path / f"meas_{tag}.csv"
             write_trace_csv(str(path), trace)

@@ -47,6 +47,8 @@ def test_rejects_both_carrier_keys(tmp_path):
 def test_rejects_unknown_section_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown config section \[walls\]"):
         load_run_config(write(tmp_path, BASE + "walls: {g: 0.4}\n"))
+    with pytest.raises(ConfigError, match=r"unknown config section \[noise\]"):
+        load_run_config(write(tmp_path, BASE + "noise: {power: 1.0e-12}\n"))
     text = BASE.replace("room: {lx: 3.0, ly: 4.0, lz: 3.0}",
                         "room: {lx: 3.0, ly: 4.0, lz: 3.0, height: 2.0}")
     with pytest.raises(ConfigError, match="room.height"):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from roompol import (
+    SPEED_OF_LIGHT,
     DistanceCondition,
     FitProblem,
     ObservationParams,
@@ -12,6 +13,7 @@ from roompol import (
     PulseShape,
     RoomGeometry,
     WallMaterial,
+    channel_pair,
     db_linear_convert,
     fit,
     observed_pds,
@@ -19,7 +21,7 @@ from roompol import (
     residual,
     reverberation_time,
 )
-from roompol.fitting import _from_internal, _to_internal, channel_gains
+from roompol.fitting import _from_internal, _to_internal
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 LAM = 5e-3
@@ -31,12 +33,12 @@ GRID = np.arange(0.0, 300e-9, 0.5e-9)
 def synth_traces(g, gamma, xi, noise, cond=COND, grid=GRID, db_noise_std=0.0, seed=0):
     """Generate observed co/cross channel traces in dB at the given truth."""
     material = WallMaterial(g=g, gamma=gamma)
-    mu_t, mu_r_co, mu_r_cross = channel_gains(xi)
+    mu = PolGain.from_split(xi)
     obs = ObservationParams(pulse=PULSE, noise_power=noise)
     traces = []
     rng = np.random.default_rng(seed)
-    for mu_r in (mu_r_co, mu_r_cross):
-        p = PdsParams(room=ROOM, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=LAM)
+    co = PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
+    for p in channel_pair(co):
         trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
         if db_noise_std > 0:
             trace = PdpTrace(
@@ -102,8 +104,10 @@ class TestResidual:
         delta = doubled - base
 
         material = WallMaterial(0.4, 0.04)
-        mu_t, mu_r_co, _ = channel_gains(0.02)
-        p = PdsParams(room=ROOM, material=material, mu_t=mu_t, mu_r=mu_r_co, wavelength=LAM)
+        mu = PolGain.from_split(0.02)
+        p, _ = channel_pair(
+            PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
+        )
         diffuse = observed_pds(
             GRID, p, COND, ObservationParams(pulse=PULSE, noise_power=0.0)
         ).values
@@ -232,13 +236,12 @@ class TestPredict:
         result = fit(problem)
         co, cross = predict(result, problem.cond, problem)
         material = WallMaterial(g=result.g, gamma=result.gamma)
-        mu_t, mu_r_co, mu_r_cross = channel_gains(result.xi)
-        obs = ObservationParams(pulse=PULSE, noise_power=result.noise_power)
-        direct_co = observed_pds(
-            GRID,
-            PdsParams(room=ROOM, material=material, mu_t=mu_t, mu_r=mu_r_co, wavelength=LAM),
-            problem.cond, obs,
+        mu = PolGain.from_split(result.xi)
+        p_co, _ = channel_pair(
+            PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
         )
+        obs = ObservationParams(pulse=PULSE, noise_power=result.noise_power)
+        direct_co = observed_pds(GRID, p_co, problem.cond, obs)
         npt.assert_array_equal(co.values, direct_co.values)
 
     def test_los_prediction_adds_only_the_direct_bump(self):
@@ -247,7 +250,7 @@ class TestPredict:
         nlos_co, _ = predict(result, DistanceCondition(1.8, los=False), problem)
         los_co, _ = predict(result, DistanceCondition(1.8, los=True), problem)
         diff = los_co.values - nlos_co.values
-        c = problem.speed_of_light
+        c = SPEED_OF_LIGHT
         near = np.abs(GRID - 1.8 / c) <= PULSE.half_support() + GRID[1]
         assert np.all(diff[near] >= 0)
         assert np.max(diff[near]) > 0

@@ -232,6 +232,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="admits no placement"):
             simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
 
+    @pytest.mark.parametrize("wavelength", [0.0, -5e-3])
+    def test_rejects_nonpositive_wavelength(self, wavelength):
+        cfg = SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10e-9)
+        with pytest.raises(ValueError, match=r"wavelength must be > 0, got"):
+            simulate_pdp(ROOM, MAT, V_MU, V_MU, wavelength, cfg)
+
 
 class TestSimulate:
     def small_cfg(self, **kw):

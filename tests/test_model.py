@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from roompol import (
@@ -13,6 +16,7 @@ from roompol import (
     WallMaterial,
     bounce_matrix,
     bounce_matrix_power,
+    channel_pair,
     co_cross_ratio,
     cpr,
     cpr_distance,
@@ -180,6 +184,13 @@ class TestTimeConstants:
         # T_p shrinks only logarithmically in (1 - gamma): ~0.34 ns here
         assert mixing_time(ROOM, WallMaterial(0.4, 1.0 - 1e-9), C_ROUND) < 1e-9
 
+    def test_leakage_below_rounding_keeps_finite_times(self):
+        # (1 - gamma)/(1 + gamma) rounds to one here; ln of it is -2 gamma
+        material = WallMaterial(0.4, 1e-300)
+        expected = 4.0 * 36.0 / (C_ROUND * 66.0 * 2e-300)
+        assert mixing_time(ROOM, material, C_ROUND) == pytest.approx(expected, rel=1e-14)
+        assert mixing_constant(material) == pytest.approx(-math.log(0.4) / 2e-300, rel=1e-14)
+
     def test_mixing_constant_value_and_limits(self):
         assert mixing_constant(MAT) == pytest.approx(11.448, rel=1e-3)
         assert mixing_constant(WallMaterial(0.4, 0.0)) == math.inf
@@ -235,6 +246,36 @@ class TestPds:
         npt.assert_array_equal(pds_components(tau, fwd), pds_components(tau, rev))
         npt.assert_array_equal(co_cross_ratio(tau, fwd), co_cross_ratio(tau, rev))
         assert cpr(fwd) == cpr(rev)
+
+
+class TestChannelPair:
+    def test_swaps_only_the_receive_gains(self):
+        p = make_params(PolGain(0.7, 0.2), PolGain(0.1, 0.8))
+        co, cross = channel_pair(p)
+        assert co == p
+        assert cross.mu_r == p.mu_r.swapped() == PolGain(0.8, 0.1)
+        assert dataclasses.replace(cross, mu_r=p.mu_r) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        gamma=st.floats(0.0, 1.0, exclude_max=True),
+        xi=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 200e-9),
+    )
+    def test_split_mirror_invariance_and_decomposition(self, g, gamma, xi, tau):
+        """Both channels are invariant under xi <-> 1 - xi, the symmetry the
+        fitter's canonical xi folding relies on, and each channel's parts sum
+        to its spectrum. The mirror split [xi, 1 - xi] is built by swapping
+        the gain entries, so rounding in 1 - xi does not enter."""
+        material = WallMaterial(g, gamma)
+        mu = PolGain.from_split(xi)
+        pair = channel_pair(make_params(mu, mu, material=material))
+        mirror = channel_pair(make_params(mu.swapped(), mu.swapped(), material=material))
+        for p, q in zip(pair, mirror):
+            assert pds(tau, q) == pytest.approx(pds(tau, p), rel=1e-12, abs=0.0)
+            co, cross = pds_components(tau, p)
+            assert co + cross == pytest.approx(pds(tau, p), rel=1e-12, abs=0.0)
 
 
 class TestComponents:
@@ -439,6 +480,16 @@ class TestConditional:
         assert spike.delay == pytest.approx(6.005e-9, rel=1e-3)
         assert spike.weight == pytest.approx(LAM**2 / (4 * math.pi * 1.8**2), rel=1e-12)
         assert spike.weight == pytest.approx(6.140e-7, rel=1e-3)
+
+    def test_without_condition_is_the_unconditioned_spectrum(self):
+        p = split_params(0.1)
+        tau = np.linspace(-5e-9, 60e-9, 131)
+        diffuse, spike = pds_conditional(tau, p, None)
+        npt.assert_array_equal(diffuse, pds(tau, p))
+        assert spike is None
+        value, spike = pds_conditional(3e-9, p, None)
+        assert value == pds(3e-9, p)
+        assert spike is None
 
     def test_spike_scales_with_co_product(self):
         p = split_params(0.1)
