@@ -1,26 +1,24 @@
 """Run configuration: a single YAML document with strictly validated sections.
 
-Unknown sections or keys are rejected, and every value is funneled through
-the corresponding domain type so that invariant violations surface as
+The allowed sections and keys are listed once, in `_SCHEMA`, and checked
+before any value is read. Every value is then read by one typed reader,
+`_get`, which rejects non-finite numbers, and funneled through the
+corresponding domain type so that invariant violations surface as
 named-field errors rather than crashes deeper in a run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
+from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS, DEFAULT_MAX_ITERATIONS, METHODS
 from .measurement import PulseShape
 from .mirror import SimConfig
-from .model import (
-    SPEED_OF_LIGHT,
-    DistanceCondition,
-    PolGain,
-    RoomGeometry,
-    WallMaterial,
-)
+from .model import SPEED_OF_LIGHT, DistanceCondition, PolGain, RoomGeometry, WallMaterial
 
 
 class ConfigError(ValueError):
@@ -29,11 +27,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class FitSettings:
-    initial_guess: tuple[float, float, float, float | None] = (0.5, 0.05, 0.05, None)
-    bounds: tuple[tuple[float, float], ...] = ((1e-6, 1.0 - 1e-6),) * 3
+    initial_guess: tuple[float, float, float, float | None] = DEFAULT_GUESS
+    bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     window: tuple[float, float] | None = None
-    method: str = "least_squares"
-    max_iterations: int = 2000
+    method: str = METHODS[0]
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
 
 @dataclass
@@ -55,96 +53,90 @@ class RunConfig:
             raise ConfigError(f"this command requires the [{section}] config section")
 
 
-_SECTIONS = {
-    "room", "carrier", "material", "antennas", "link",
-    "pulse", "grid", "simulation", "fit", "cpr",
+_SCHEMA = {
+    "room": {"lx", "ly", "lz"},
+    "carrier": {"frequency_hz", "wavelength_m"},
+    "material": {"g", "gamma"},
+    "antennas": {"xi", "mu_t", "mu_r"},
+    "link": {"distance_m", "los"},
+    "pulse": {"kind", "bandwidth_hz"},
+    "grid": {"start_ns", "stop_ns", "step_ns"},
+    "simulation": {"realizations", "seed", "bin_width_ns", "max_delay_ns", "placement"},
+    "fit": {"g0", "gamma0", "xi0", "noise0", "bounds_g", "bounds_gamma", "bounds_xi",
+            "window_ns", "method", "max_iterations"},
+    "cpr": {"distances_m"},
 }
+_REQUIRED_SECTIONS = ("room", "carrier")
 
 
-def _section(doc: dict, name: str, required: bool = False) -> dict | None:
-    data = doc.get(name)
-    if data is None:
-        if required:
+def _check_schema(doc) -> dict:
+    """The document's present sections, after checking them against `_SCHEMA`.
+
+    A section whose value is empty (YAML null) counts as absent.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a mapping of sections")
+    sections = {}
+    for name, data in doc.items():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{name}]")
+        if data is None:
+            continue
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section [{name}] must be a mapping")
+        for key in data:
+            if key not in _SCHEMA[name]:
+                raise ConfigError(f"unknown config key '{name}.{key}'")
+        sections[name] = data
+    for name in _REQUIRED_SECTIONS:
+        if name not in sections:
             raise ConfigError(f"missing required config section [{name}]")
+    return sections
+
+
+def _finite(v) -> float | None:
+    # YAML 1.1 reads exponents like 0.5e9 as strings; accept those too.
+    # float() turns overflowing literals such as 1e999 into inf.
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         return None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section [{name}] must be a mapping")
-    return data
-
-
-def _check_keys(name: str, data: dict, allowed: set[str]) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{name}.{key}'")
-
-
-def _coerce_number(v):
-    """YAML 1.1 reads exponents like 0.5e9 as strings; accept those too."""
-    if isinstance(v, bool):
+    try:
+        x = float(v)
+    except (ValueError, OverflowError):
         return None
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
-        try:
-            return float(v)
-        except ValueError:
-            return None
-    return None
+    return x if math.isfinite(x) else None
 
 
-def _number(name: str, data: dict, key: str, default=None, required: bool = False):
+def _finite_list(v, length: int | None = None) -> tuple[float, ...] | None:
+    if not isinstance(v, (list, tuple)) or not v or (length and len(v) != length):
+        return None
+    xs = tuple(_finite(x) for x in v)
+    return None if None in xs else xs
+
+
+# kind -> (parse returning the value or None, what the value must be)
+_KINDS = {
+    "number": (_finite, "a finite number"),
+    "integer": (lambda v: v if type(v) is int else None, "an integer"),
+    "boolean": (lambda v: v if isinstance(v, bool) else None, "a boolean"),
+    "string": (lambda v: v if isinstance(v, str) else None, "a string"),
+    "pair": (lambda v: _finite_list(v, 2), "a pair of finite numbers"),
+    "list": (_finite_list, "a non-empty list of finite numbers"),
+}
+_REQUIRED = object()
+
+
+def _get(doc: dict, section: str, key: str, kind: str, default=_REQUIRED):
+    """Value of `section.key` read as `kind`; `default` if absent, unless required."""
+    data = doc[section]
     if key not in data:
-        if required:
-            raise ConfigError(f"missing config key '{name}.{key}'")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key '{section}.{key}'")
         return default
-    value = _coerce_number(data[key])
+    parse, what = _KINDS[kind]
+    value = parse(data[key])
     if value is None:
-        raise ConfigError(f"config key '{name}.{key}' must be a number, got {data[key]!r}")
+        raise ConfigError(f"config key '{section}.{key}' must be {what}, got {data[key]!r}")
     return value
-
-
-def _integer(name: str, data: dict, key: str, default=None, required: bool = False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"missing config key '{name}.{key}'")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key '{name}.{key}' must be an integer, got {v!r}")
-    return int(v)
-
-
-def _boolean(name: str, data: dict, key: str, default=None, required: bool = False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"missing config key '{name}.{key}'")
-        return default
-    v = data[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"config key '{name}.{key}' must be a boolean, got {v!r}")
-    return v
-
-
-def _string(name: str, data: dict, key: str, default=None, required: bool = False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"missing config key '{name}.{key}'")
-        return default
-    v = data[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"config key '{name}.{key}' must be a string, got {v!r}")
-    return v
-
-
-def _number_pair(name: str, data: dict, key: str):
-    if key not in data:
-        return None
-    v = data[key]
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        pair = [_coerce_number(x) for x in v]
-        if None not in pair:
-            return pair[0], pair[1]
-    raise ConfigError(f"config key '{name}.{key}' must be a pair of numbers")
 
 
 def _build(name: str, factory, /, **kwargs):
@@ -154,33 +146,35 @@ def _build(name: str, factory, /, **kwargs):
         raise ConfigError(f"[{name}] {exc}") from exc
 
 
-def _parse_antennas(data: dict) -> tuple[PolGain, PolGain]:
-    _check_keys("antennas", data, {"xi", "mu_t", "mu_r"})
+def _parse_antennas(doc: dict) -> tuple[PolGain, PolGain]:
+    data = doc["antennas"]
     has_xi = "xi" in data
-    has_mu = "mu_t" in data or "mu_r" in data
-    if has_xi and has_mu:
+    if has_xi and ("mu_t" in data or "mu_r" in data):
         raise ConfigError("give either 'antennas.xi' or explicit 'antennas.mu_t'/'antennas.mu_r', not both")
     if has_xi:
-        xi = _number("antennas", data, "xi", required=True)
-        try:
-            mu = PolGain.from_split(xi)
-        except ValueError as exc:
-            raise ConfigError(f"[antennas] {exc}") from exc
+        mu = _build("antennas", PolGain.from_split, xi=_get(doc, "antennas", "xi", "number"))
         return mu, mu
     if not ("mu_t" in data and "mu_r" in data):
         raise ConfigError("explicit antenna gains need both 'antennas.mu_t' and 'antennas.mu_r'")
-    gains = []
-    for key in ("mu_t", "mu_r"):
-        pair = _number_pair("antennas", data, key)
-        gains.append(_build("antennas", PolGain, mu_theta=pair[0], mu_phi=pair[1]))
-    return gains[0], gains[1]
+    pairs = (_get(doc, "antennas", key, "pair") for key in ("mu_t", "mu_r"))
+    return tuple(_build("antennas", PolGain, mu_theta=a, mu_phi=b) for a, b in pairs)
 
 
-def _parse_grid(data: dict) -> np.ndarray:
-    _check_keys("grid", data, {"start_ns", "stop_ns", "step_ns"})
-    start = _number("grid", data, "start_ns", required=True)
-    stop = _number("grid", data, "stop_ns", required=True)
-    step = _number("grid", data, "step_ns", required=True)
+def _parse_carrier(doc: dict) -> float:
+    has_f = "frequency_hz" in doc["carrier"]
+    if has_f == ("wavelength_m" in doc["carrier"]):
+        raise ConfigError("give exactly one of 'carrier.frequency_hz' or 'carrier.wavelength_m'")
+    key = "frequency_hz" if has_f else "wavelength_m"
+    value = _get(doc, "carrier", key, "number")
+    if value <= 0:
+        raise ConfigError(f"'carrier.{key}' must be > 0")
+    return SPEED_OF_LIGHT / value if has_f else value
+
+
+def _parse_grid(doc: dict) -> np.ndarray:
+    start, stop, step = (
+        _get(doc, "grid", key, "number") for key in ("start_ns", "stop_ns", "step_ns")
+    )
     if step <= 0:
         raise ConfigError("'grid.step_ns' must be > 0")
     if stop <= start:
@@ -191,175 +185,84 @@ def _parse_grid(data: dict) -> np.ndarray:
     return (start + step * np.arange(n)) * 1e-9
 
 
+def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
+    placement = _get(doc, "simulation", "placement", "string", "uniform")
+    fixed = placement == "fixed"
+    if fixed and cond is None:
+        raise ConfigError("fixed placement requires the [link] section")
+    return _build(
+        "simulation",
+        SimConfig,
+        n_realizations=_get(doc, "simulation", "realizations", "integer"),
+        bin_width=_get(doc, "simulation", "bin_width_ns", "number") * 1e-9,
+        max_delay=_get(doc, "simulation", "max_delay_ns", "number") * 1e-9,
+        rng_seed=_get(doc, "simulation", "seed", "integer", 0),
+        placement=placement,
+        distance=cond.distance if fixed else None,
+        los=cond.los if fixed else True,
+    )
+
+
+def _parse_fit(doc: dict) -> FitSettings:
+    window = _get(doc, "fit", "window_ns", "pair", None)
+    method = _get(doc, "fit", "method", "string", METHODS[0])
+    if method not in METHODS:
+        raise ConfigError(f"'fit.method' must be {' or '.join(map(repr, METHODS))}")
+    return FitSettings(
+        initial_guess=tuple(
+            _get(doc, "fit", key, "number", default)
+            for key, default in zip(("g0", "gamma0", "xi0", "noise0"), DEFAULT_GUESS)
+        ),
+        bounds=tuple(
+            _get(doc, "fit", key, "pair", default)
+            for key, default in zip(("bounds_g", "bounds_gamma", "bounds_xi"), DEFAULT_BOUNDS)
+        ),
+        window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
+        method=method,
+        max_iterations=_get(doc, "fit", "max_iterations", "integer", DEFAULT_MAX_ITERATIONS),
+    )
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a YAML run configuration."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping of sections")
-    for key in doc:
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{key}]")
-
-    room_data = _section(doc, "room", required=True)
-    _check_keys("room", room_data, {"lx", "ly", "lz"})
-    room = _build(
-        "room",
-        RoomGeometry,
-        lx=_number("room", room_data, "lx", required=True),
-        ly=_number("room", room_data, "ly", required=True),
-        lz=_number("room", room_data, "lz", required=True),
+    doc = _check_schema(raw)
+    cfg = RunConfig(
+        room=_build("room", RoomGeometry, **{
+            key: _get(doc, "room", key, "number") for key in ("lx", "ly", "lz")
+        }),
+        wavelength=_parse_carrier(doc),
     )
-
-    carrier = _section(doc, "carrier", required=True)
-    _check_keys("carrier", carrier, {"frequency_hz", "wavelength_m"})
-    has_f = "frequency_hz" in carrier
-    has_l = "wavelength_m" in carrier
-    if has_f == has_l:
-        raise ConfigError("give exactly one of 'carrier.frequency_hz' or 'carrier.wavelength_m'")
-    if has_f:
-        freq = _number("carrier", carrier, "frequency_hz", required=True)
-        if freq <= 0:
-            raise ConfigError("'carrier.frequency_hz' must be > 0")
-        wavelength = SPEED_OF_LIGHT / freq
-    else:
-        wavelength = _number("carrier", carrier, "wavelength_m", required=True)
-        if wavelength <= 0:
-            raise ConfigError("'carrier.wavelength_m' must be > 0")
-
-    material = None
-    material_data = _section(doc, "material")
-    if material_data is not None:
-        _check_keys("material", material_data, {"g", "gamma"})
-        material = _build(
-            "material",
-            WallMaterial,
-            g=_number("material", material_data, "g", required=True),
-            gamma=_number("material", material_data, "gamma", default=0.0),
+    if "material" in doc:
+        cfg.material = _build(
+            "material", WallMaterial, g=_get(doc, "material", "g", "number"),
+            gamma=_get(doc, "material", "gamma", "number", 0.0),
         )
-
-    mu_t = mu_r = None
-    antenna_data = _section(doc, "antennas")
-    if antenna_data is not None:
-        mu_t, mu_r = _parse_antennas(antenna_data)
-
-    cond = None
-    link = _section(doc, "link")
-    if link is not None:
-        _check_keys("link", link, {"distance_m", "los"})
-        cond = _build(
-            "link",
-            DistanceCondition,
-            distance=_number("link", link, "distance_m", required=True),
-            los=_boolean("link", link, "los", default=False),
+    if "antennas" in doc:
+        cfg.mu_t, cfg.mu_r = _parse_antennas(doc)
+    if "link" in doc:
+        cfg.cond = _build(
+            "link", DistanceCondition, distance=_get(doc, "link", "distance_m", "number"),
+            los=_get(doc, "link", "los", "boolean", False),
         )
-
-    pulse = None
-    pulse_data = _section(doc, "pulse")
-    if pulse_data is not None:
-        _check_keys("pulse", pulse_data, {"kind", "bandwidth_hz"})
-        pulse = _build(
-            "pulse",
-            PulseShape,
-            kind=_string("pulse", pulse_data, "kind", default="boxcar"),
-            bandwidth=_number("pulse", pulse_data, "bandwidth_hz", required=True),
+    if "pulse" in doc:
+        cfg.pulse = _build(
+            "pulse", PulseShape, kind=_get(doc, "pulse", "kind", "string", "boxcar"),
+            bandwidth=_get(doc, "pulse", "bandwidth_hz", "number"),
         )
-
-    grid = None
-    grid_data = _section(doc, "grid")
-    if grid_data is not None:
-        grid = _parse_grid(grid_data)
-
-    sim = None
-    sim_data = _section(doc, "simulation")
-    if sim_data is not None:
-        _check_keys(
-            "simulation", sim_data,
-            {"realizations", "seed", "bin_width_ns", "max_delay_ns", "placement"},
-        )
-        placement = _string("simulation", sim_data, "placement", default="uniform")
-        distance = None
-        los = True
-        if placement == "fixed":
-            if cond is None:
-                raise ConfigError("fixed placement requires the [link] section")
-            distance = cond.distance
-            los = cond.los
-        sim = _build(
-            "simulation",
-            SimConfig,
-            n_realizations=_integer("simulation", sim_data, "realizations", required=True),
-            bin_width=_number("simulation", sim_data, "bin_width_ns", required=True) * 1e-9,
-            max_delay=_number("simulation", sim_data, "max_delay_ns", required=True) * 1e-9,
-            rng_seed=_integer("simulation", sim_data, "seed", default=0),
-            placement=placement,
-            distance=distance,
-            los=los,
-        )
-
-    fit = None
-    fit_data = _section(doc, "fit")
-    if fit_data is not None:
-        _check_keys(
-            "fit", fit_data,
-            {"g0", "gamma0", "xi0", "noise0", "bounds_g", "bounds_gamma", "bounds_xi",
-             "window_ns", "method", "max_iterations"},
-        )
-        defaults = FitSettings()
-        bounds = []
-        for key, default in zip(
-            ("bounds_g", "bounds_gamma", "bounds_xi"), defaults.bounds
-        ):
-            pair = _number_pair("fit", fit_data, key)
-            bounds.append(default if pair is None else pair)
-        window = _number_pair("fit", fit_data, "window_ns")
-        if window is not None:
-            window = (window[0] * 1e-9, window[1] * 1e-9)
-        method = _string("fit", fit_data, "method", default=defaults.method)
-        if method not in ("least_squares", "simplex"):
-            raise ConfigError("'fit.method' must be 'least_squares' or 'simplex'")
-        fit = FitSettings(
-            initial_guess=(
-                _number("fit", fit_data, "g0", default=defaults.initial_guess[0]),
-                _number("fit", fit_data, "gamma0", default=defaults.initial_guess[1]),
-                _number("fit", fit_data, "xi0", default=defaults.initial_guess[2]),
-                _number("fit", fit_data, "noise0", default=None),
-            ),
-            bounds=tuple(bounds),
-            window=window,
-            method=method,
-            max_iterations=_integer(
-                "fit", fit_data, "max_iterations", default=defaults.max_iterations
-            ),
-        )
-
-    cpr_distances = None
-    cpr_data = _section(doc, "cpr")
-    if cpr_data is not None:
-        _check_keys("cpr", cpr_data, {"distances_m"})
-        raw = cpr_data.get("distances_m")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ConfigError("'cpr.distances_m' must be a non-empty list of numbers")
-        coerced = [_coerce_number(x) for x in raw]
-        if None in coerced:
-            raise ConfigError("'cpr.distances_m' must be a non-empty list of numbers")
-        if any(x <= 0 for x in coerced):
+    if "grid" in doc:
+        cfg.grid = _parse_grid(doc)
+    if "simulation" in doc:
+        cfg.sim = _parse_simulation(doc, cfg.cond)
+    if "fit" in doc:
+        cfg.fit = _parse_fit(doc)
+    if "cpr" in doc:
+        distances = _get(doc, "cpr", "distances_m", "list")
+        if any(x <= 0 for x in distances):
             raise ConfigError("'cpr.distances_m' entries must be > 0")
-        cpr_distances = tuple(coerced)
-
-    return RunConfig(
-        room=room,
-        wavelength=wavelength,
-        material=material,
-        mu_t=mu_t,
-        mu_r=mu_r,
-        cond=cond,
-        pulse=pulse,
-        grid=grid,
-        sim=sim,
-        fit=fit,
-        cpr_distances=cpr_distances,
-    )
+        cfg.cpr_distances = distances
+    return cfg

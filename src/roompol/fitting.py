@@ -31,8 +31,12 @@ from .model import (
     reverberation_time,
 )
 
-_METHODS = ("least_squares", "simplex")
-_DEFAULT_BOUNDS = ((1e-6, 1.0 - 1e-6),) * 3
+# Fit defaults, shared by `FitProblem` and the run config's [fit] section.
+# The first method is the default one.
+METHODS = ("least_squares", "simplex")
+DEFAULT_GUESS = (0.5, 0.05, 0.05, None)
+DEFAULT_BOUNDS = ((1e-6, 1.0 - 1e-6),) * 3
+DEFAULT_MAX_ITERATIONS = 2000
 # Convergence policy: stop on relative objective decrease below 1e-10 or
 # step norm below 1e-12, within the evaluation budget.
 _FTOL = 1e-10
@@ -50,10 +54,10 @@ class FitProblem:
     co_trace: PdpTrace
     cross_trace: PdpTrace
     fit_window: tuple[float, float] | None = None
-    initial_guess: tuple[float, float, float, float | None] = (0.5, 0.05, 0.05, None)
-    bounds: tuple[tuple[float, float], ...] = _DEFAULT_BOUNDS
-    method: str = "least_squares"
-    max_iterations: int = 2000
+    initial_guess: tuple[float, float, float, float | None] = DEFAULT_GUESS
+    bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
+    method: str = METHODS[0]
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -63,10 +67,13 @@ class FitProblem:
                 raise ValueError(f"{name} trace must be in dB, got scale {tr.scale!r}")
         if not np.array_equal(self.co_trace.delays, self.cross_trace.delays):
             raise ValueError("co and cross traces must share one delay grid")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        noise0 = self.initial_guess[3]
+        if noise0 is not None and not noise0 > 0:
+            raise ValueError(f"initial noise power must be > 0 or None, got {noise0}")
         if len(self.bounds) != 3:
             raise ValueError("bounds must give (low, high) for each of g, gamma, xi")
         for name, (lo, hi) in zip(("g", "gamma", "xi"), self.bounds):

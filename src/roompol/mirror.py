@@ -299,8 +299,6 @@ def simulate_pdp(
             f"with diagonal {room.diagonal():.3f} m"
         )
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
-    if n_bins < 1:
-        raise ValueError("delay range must contain at least one bin")
 
     lattice = enumerate_images(room, speed_of_light * cfg.max_delay)
     bounces = lattice.bounces

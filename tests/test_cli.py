@@ -319,6 +319,12 @@ class TestExitCodes:
         assert code == 2
         assert "simulation" in capsys.readouterr().err
 
+    def test_non_finite_config_value_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("stop_ns: 60.0", "stop_ns: .inf"))
+        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "grid.stop_ns" in capsys.readouterr().err
+
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):

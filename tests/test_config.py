@@ -1,5 +1,11 @@
+import copy
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from roompol.config import ConfigError, load_run_config
 
@@ -136,3 +142,84 @@ def test_missing_required_section(tmp_path):
     text = BASE.replace("carrier: {wavelength_m: 0.005}\n", "")
     with pytest.raises(ConfigError, match=r"\[carrier\]"):
         load_run_config(write(tmp_path, text))
+
+
+# Every key the config accepts, with a valid value. The carrier and antenna
+# keys that exclude the ones in FULL are in ALTERNATIVES.
+FULL = {
+    "room": {"lx": 3.0, "ly": 4.0, "lz": 3.0},
+    "carrier": {"wavelength_m": 0.005},
+    "material": {"g": 0.4, "gamma": 0.04},
+    "antennas": {"xi": 0.1},
+    "link": {"distance_m": 1.8, "los": True},
+    "pulse": {"kind": "gaussian", "bandwidth_hz": 1.0e9},
+    "grid": {"start_ns": 0.0, "stop_ns": 60.0, "step_ns": 0.1},
+    "simulation": {"realizations": 1000, "seed": 7, "bin_width_ns": 1.0,
+                   "max_delay_ns": 20.0, "placement": "fixed"},
+    "fit": {"g0": 0.45, "gamma0": 0.05, "xi0": 0.1, "noise0": 1.0e-10,
+            "bounds_g": [0.1, 0.9], "bounds_gamma": [0.01, 0.5], "bounds_xi": [0.01, 0.5],
+            "window_ns": [5.0, 50.0], "method": "simplex", "max_iterations": 500},
+    "cpr": {"distances_m": [0.5, 1.8]},
+}
+ALTERNATIVES = {
+    "carrier": {"frequency_hz": 60.0e9},
+    "antennas": {"mu_t": [0.9, 0.1], "mu_r": [0.8, 0.2]},
+}
+EVERY_KEY = [(section, key) for section, data in FULL.items() for key in data] + [
+    (section, key) for section, data in ALTERNATIVES.items() for key in data
+]
+
+
+def full_document(section=None):
+    """FULL, with `section` taken from ALTERNATIVES when it has one there."""
+    doc = copy.deepcopy(FULL)
+    if section in ALTERNATIVES:
+        doc[section] = copy.deepcopy(ALTERNATIVES[section])
+    return doc
+
+
+@pytest.mark.parametrize("section", [None, *ALTERNATIVES])
+def test_every_key_is_accepted(tmp_path, section):
+    cfg = load_run_config(write(tmp_path, yaml.safe_dump(full_document(section))))
+    assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
+    assert cfg.fit.bounds == ((0.1, 0.9), (0.01, 0.5), (0.01, 0.5))
+    assert cfg.fit.initial_guess == (0.45, 0.05, 0.1, 1e-10)
+    assert cfg.fit.method == "simplex"
+
+
+@pytest.mark.parametrize("section, key", EVERY_KEY, ids=[f"{s}.{k}" for s, k in EVERY_KEY])
+def test_mapping_value_names_the_key(tmp_path, section, key):
+    doc = full_document(section if key in ALTERNATIVES.get(section, {}) else None)
+    doc[section][key] = {}
+    with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be"):
+        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+
+
+NON_FINITE = [
+    ("stop_ns: 60.0", "stop_ns: .inf", "grid.stop_ns"),
+    ("step_ns: 0.1", "step_ns: .nan", "grid.step_ns"),
+    ("lx: 3.0", "lx: .inf", "room.lx"),
+    ("ly: 4.0", "ly: 1e999", "room.ly"),
+    ("lz: 3.0", "lz: 1" + "0" * 400, "room.lz"),
+    ("wavelength_m: 0.005", "wavelength_m: .inf", "carrier.wavelength_m"),
+    ("gamma: 0.04", "gamma: -.inf", "material.gamma"),
+    ("", "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: .inf}",
+     "simulation.max_delay_ns"),
+    ("", "cpr: {distances_m: [.inf]}", "cpr.distances_m"),
+    ("", "fit: {window_ns: [5.0, .inf]}", "fit.window_ns"),
+]
+
+
+@pytest.mark.parametrize("old, new, key", NON_FINITE, ids=[key for _, _, key in NON_FINITE])
+def test_non_finite_numbers_name_the_key(tmp_path, old, new, key):
+    text = BASE.replace(old, new) if old else BASE + new + "\n"
+    with pytest.raises(ConfigError, match=rf"{key}.*finite"):
+        load_run_config(write(tmp_path, text))
+
+
+def test_readme_quickstart_config_populates_every_section(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("## CLI quickstart", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", quickstart, re.S).group(1)
+    cfg = load_run_config(write(tmp_path, block))
+    assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))

@@ -82,6 +82,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="bounds"):
             FitProblem(ROOM, LAM, COND, PULSE, co, cross, bounds=((0.0, 1.0),) * 3)
 
+    @pytest.mark.parametrize("noise0", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_initial_noise(self, noise0):
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        with pytest.raises(ValueError, match="initial noise power"):
+            FitProblem(ROOM, LAM, COND, PULSE, co, cross,
+                       initial_guess=(0.5, 0.1, 0.05, noise0))
+
 
 class TestResidual:
     def test_zero_at_the_generating_parameters(self):
