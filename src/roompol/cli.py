@@ -43,8 +43,8 @@ def _params(cfg: RunConfig) -> model.PdsParams:
 
 
 def _print_derived(p: model.PdsParams) -> None:
-    t_rev = model.reverberation_time(p.room, p.material)
-    t_mix = model.mixing_time(p.room, p.material)
+    t_rev = model.reverberation_time(p.room, p.material, p.speed_of_light)
+    t_mix = model.mixing_time(p.room, p.material, p.speed_of_light)
     ratio = model.cpr(p)
     print(f"T = {_fmt(t_rev * 1e9)} ns")
     print(f"T_p = {_fmt(t_mix * 1e9)} ns")
@@ -157,25 +157,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         max_iterations=settings.max_iterations,
     )
     result = fitting.fit(problem)
+    fitted_params = fitting.split_params(problem, result.g, result.gamma, result.xi)
 
     print(f"g = {_fmt(result.g)}")
     print(f"gamma = {_fmt(result.gamma)}")
     print(f"xi = {_fmt(result.xi)}")
     print(f"P_noise = {_fmt(result.noise_power)}")
-    print(f"T = {_fmt(result.t_rev * 1e9)} ns")
-    print(f"T_p = {_fmt(result.t_mix * 1e9)} ns")
-    print(f"mixing constant = {_fmt(result.mixing_constant)}")
-    if math.isinf(result.cpr):
-        print("CPR = inf")
-    else:
-        print(f"CPR = {_fmt(result.cpr)} ({_db_scalar(result.cpr):.4f} dB)")
+    _print_derived(fitted_params)
     print(f"residual RMS = {result.residual_rms_db:.4f} dB")
     print(f"iterations = {result.iterations}")
     print(f"converged = {'yes' if result.converged else 'no'}")
     print(f"weakly identified (gamma, xi) = {'yes' if result.weakly_identified else 'no'}")
 
     co_fit, cross_fit = fitting.predict(result, cfg.cond, problem)
-    fitted_params = fitting.split_params(problem, result.g, result.gamma, result.xi)
     tau = co_trace.delays
     io.write_report_csv(
         args.out,
@@ -238,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (capped by ROOMPOL_MAX_WORKERS)")
+                       help="worker processes (default 1), capped by the chunk count and the "
+                            "available CPUs; results never depend on it")
     p_sim.add_argument("--trace-prefix", default=None,
                        help="also write per-channel trace CSVs with this prefix")
     p_sim.set_defaults(func=cmd_simulate)

@@ -67,6 +67,7 @@ _SCHEMA = {
     "cpr": {"distances_m"},
 }
 _REQUIRED_SECTIONS = ("room", "carrier")
+_MAX_GRID_SAMPLES = 10**7
 
 
 def _check_schema(doc) -> dict:
@@ -168,7 +169,10 @@ def _parse_carrier(doc: dict) -> float:
     value = _get(doc, "carrier", key, "number")
     if value <= 0:
         raise ConfigError(f"'carrier.{key}' must be > 0")
-    return SPEED_OF_LIGHT / value if has_f else value
+    wavelength = SPEED_OF_LIGHT / value if has_f else value
+    if not math.isfinite(wavelength):
+        raise ConfigError(f"'carrier.{key}' = {value!r} gives a non-finite wavelength")
+    return wavelength
 
 
 def _parse_grid(doc: dict) -> np.ndarray:
@@ -179,7 +183,10 @@ def _parse_grid(doc: dict) -> np.ndarray:
         raise ConfigError("'grid.step_ns' must be > 0")
     if stop <= start:
         raise ConfigError("'grid.stop_ns' must exceed 'grid.start_ns'")
-    n = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not span <= _MAX_GRID_SAMPLES - 1:
+        raise ConfigError(f"'grid.step_ns' gives more than {_MAX_GRID_SAMPLES} grid samples")
+    n = int(round(span)) + 1
     if n < 2:
         raise ConfigError("grid must contain at least two samples")
     return (start + step * np.arange(n)) * 1e-9

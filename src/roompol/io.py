@@ -41,8 +41,24 @@ def write_trace_csv(path: str, trace: PdpTrace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_field(path: str, row_no: int, what: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise TraceFormatError(
+            f"{path}: row {row_no}: bad {what} value {text!r}, expected a finite number"
+        )
+    return value
+
+
 def read_trace_csv(path: str) -> PdpTrace:
-    """Read a trace written by `write_trace_csv`; empty fields become -inf."""
+    """Read a trace written by `write_trace_csv`; empty power fields become -inf.
+
+    Any other non-numeric or non-finite field (`nan`, `inf`, `-inf`) is
+    rejected with the row named: the empty field is the one spelling of -inf.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     header = None
@@ -71,21 +87,11 @@ def read_trace_csv(path: str) -> PdpTrace:
             raise TraceFormatError(
                 f"{path}: row {row_no}: expected 2 fields, got {len(fields)}"
             )
-        try:
-            delay = float(fields[0])
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}: row {row_no}: bad delay value {fields[0]!r}"
-            ) from None
+        delay = _finite_field(path, row_no, "delay", fields[0])
         if fields[1].strip() == "":
             value = -math.inf
         else:
-            try:
-                value = float(fields[1])
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}: row {row_no}: bad power value {fields[1]!r}"
-                ) from None
+            value = _finite_field(path, row_no, "power", fields[1])
         delays.append(delay * 1e-9)
         values.append(value)
     if header is None or not delays:

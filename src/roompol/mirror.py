@@ -21,10 +21,12 @@ arrivals at or beyond max_delay, which the simulator discards anyway.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,11 +70,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        if not self.bin_width > 0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if not self.max_delay > self.bin_width:
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError(f"bin_width must be finite and > 0, got {self.bin_width}")
+        if not self.bin_width < self.max_delay < math.inf:
             raise ValueError(
-                f"max_delay ({self.max_delay}) must exceed bin_width ({self.bin_width})"
+                f"max_delay ({self.max_delay}) must be finite and exceed "
+                f"bin_width ({self.bin_width})"
             )
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
@@ -217,15 +220,16 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
     return tx_out, rx_out
 
 
-def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate binned co/cross powers for one chunk of realizations."""
-    (seed_seq, n, dims, lattice, g_pow, mix_co, mix_cross, keep_img,
-     lam, c, bin_width, n_bins, max_delay, placement, distance) = args
+def _run_chunk(
+    seed_seq, n, *, cfg, lattice, g_pow, mix_co, mix_cross, wavelength, speed_of_light, n_bins
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate binned co/cross powers for one chunk of n realizations."""
     rng = np.random.default_rng(seed_seq)
-    if placement == "uniform":
+    dims = np.array(lattice.dims)
+    if cfg.placement == "uniform":
         tx, rx = _sample_uniform(rng, n, dims)
     else:
-        tx, rx = _sample_fixed(rng, n, dims, distance)
+        tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
 
     # Summed as (x + y) + z, realization-major over the kept cells: the same
     # terms in the same order as over the full cube, so every bin sum is
@@ -239,26 +243,15 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     d2 += sq[1][:, iy]
     d2 += sq[2][:, iz]
 
-    tau = np.sqrt(d2) / c
-    mask = (tau < max_delay) & (d2 > 0.0) & keep_img[None, :]
-    w = lam * lam / (4.0 * np.pi * d2[mask])
+    tau = np.sqrt(d2) / speed_of_light
+    mask = (tau < cfg.max_delay) & (d2 > 0.0)
+    w = wavelength * wavelength / (4.0 * np.pi * d2[mask])
     attn = np.broadcast_to(g_pow, d2.shape)[mask] * w
-    idx = (tau[mask] / bin_width).astype(np.int64)
-    acc_co = np.bincount(
-        idx, weights=attn * np.broadcast_to(mix_co, d2.shape)[mask], minlength=n_bins
+    idx = (tau[mask] / cfg.bin_width).astype(np.int64)
+    return tuple(
+        np.bincount(idx, weights=attn * np.broadcast_to(mix, d2.shape)[mask], minlength=n_bins)
+        for mix in (mix_co, mix_cross)
     )
-    acc_cross = np.bincount(
-        idx, weights=attn * np.broadcast_to(mix_cross, d2.shape)[mask], minlength=n_bins
-    )
-    return acc_co, acc_cross
-
-
-def _resolve_workers(workers: int | None) -> int:
-    cap = os.environ.get("ROOMPOL_MAX_WORKERS")
-    w = 1 if workers is None else int(workers)
-    if cap is not None:
-        w = min(w, int(cap))
-    return max(1, w)
 
 
 def simulate_pdp(
@@ -286,13 +279,13 @@ def simulate_pdp(
     pass and returned as linear traces on the bin-center grid. Results are
     bit-identical for a fixed rng_seed regardless of `workers` because
     realizations are split into fixed-size chunks with per-chunk derived
-    seeds, reduced in chunk order.
+    seeds, reduced in chunk order. The chunks run in a pool of min(workers,
+    chunks, available CPUs) processes, or in this process if that is one.
     """
     p = PdsParams(
         room=room, material=material, mu_t=mu_t, mu_r=mu_r,
         wavelength=wavelength, speed_of_light=speed_of_light,
     )
-    dims = np.array([room.lx, room.ly, room.lz])
     if cfg.placement == "fixed" and cfg.distance >= room.diagonal():
         raise ValueError(
             f"fixed distance {cfg.distance} m admits no placement in a room "
@@ -301,45 +294,35 @@ def simulate_pdp(
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
 
     lattice = enumerate_images(room, speed_of_light * cfg.max_delay)
-    bounces = lattice.bounces
+    if cfg.placement == "fixed" and not cfg.los:
+        # Dropping a cell keeps the other arrivals in order, so bin sums are unchanged.
+        keep = ~lattice.direct
+        lattice = replace(
+            lattice, cells=tuple(i[keep] for i in lattice.cells),
+            bounces=lattice.bounces[keep], direct=lattice.direct[keep],
+        )
 
     g, gamma = material.g, material.gamma
-    lam2_pow = ((1.0 - gamma) / (1.0 + gamma)) ** bounces
-    g_pow = g**bounces.astype(float)
+    lam2_pow = ((1.0 - gamma) / (1.0 + gamma)) ** lattice.bounces
+    g_pow = g**lattice.bounces.astype(float)
     # Each channel pairs its (k_co, k_cross) with (1 +/- lam2^B).
     mix_co, mix_cross = (
         0.5 * (k_co * (1.0 + lam2_pow) + k_cross * (1.0 - lam2_pow))
         for k_co, k_cross in map(_mu_products, channel_pair(p))
     )
 
-    keep_img = np.ones(bounces.size, dtype=bool)
-    if cfg.placement == "fixed" and not cfg.los:
-        keep_img &= ~lattice.direct
+    run = functools.partial(
+        _run_chunk, cfg=cfg, lattice=lattice, g_pow=g_pow, mix_co=mix_co, mix_cross=mix_cross,
+        wavelength=wavelength, speed_of_light=speed_of_light, n_bins=n_bins,
+    )
+    sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(max(1, workers or 1), len(sizes), cpus or 1)
 
-    n_chunks = (cfg.n_realizations + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(n_chunks)
-    tasks = []
-    remaining = cfg.n_realizations
-    for i in range(n_chunks):
-        n = min(_CHUNK, remaining)
-        remaining -= n
-        tasks.append((
-            seeds[i], n, dims, lattice, g_pow, mix_co, mix_cross, keep_img,
-            wavelength, speed_of_light, cfg.bin_width, n_bins, cfg.max_delay,
-            cfg.placement, cfg.distance,
-        ))
-
-    acc_co = np.zeros(n_bins)
-    acc_cross = np.zeros(n_bins)
-    n_workers = _resolve_workers(workers)
-    if n_workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for part_co, part_cross in pool.map(_run_chunk, tasks):
-                acc_co += part_co
-                acc_cross += part_cross
-    else:
-        for task in tasks:
-            part_co, part_cross = _run_chunk(task)
+    acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        for part_co, part_cross in (pool.map if pool else map)(run, seeds, sizes):
             acc_co += part_co
             acc_cross += part_cross
 

@@ -18,7 +18,7 @@ from roompol import (
     observed_pds,
 )
 from roompol.cli import main
-from roompol.io import read_trace_csv, write_trace_csv
+from roompol.io import TraceFormatError, read_trace_csv, write_trace_csv
 
 BASE = """\
 room: {lx: 3.0, ly: 4.0, lz: 3.0}
@@ -145,6 +145,20 @@ class TestSimulate:
         trace = read_trace_csv(str(prefix) + "_co.csv")
         assert trace.scale == "db"
         assert trace.delays.size == 20
+
+    def test_worker_count_leaves_every_output_byte_identical(self, tmp_path):
+        # three chunks, so a reduction out of chunk order would change the bytes
+        cfg = write_config(tmp_path, self.SIM.replace("realizations: 1500", "realizations: 5000"))
+        runs = []
+        for workers in ("1", "2"):
+            prefix = tmp_path / f"w{workers}"
+            assert main([
+                "simulate", "--config", cfg, "--out", f"{prefix}_report.csv",
+                "--workers", workers, "--trace-prefix", str(prefix),
+            ]) == 0
+            tags = ("report", "co", "cross")
+            runs.append([(tmp_path / f"w{workers}_{tag}.csv").read_bytes() for tag in tags])
+        assert runs[0] == runs[1]
 
 
 class TestFit:
@@ -325,6 +339,23 @@ class TestExitCodes:
         assert code == 2
         assert "grid.stop_ns" in capsys.readouterr().err
 
+    # Finite values whose derived quantity overflows or is too large to build.
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("start_ns: 0.0, stop_ns: 60.0", "start_ns: -1.0e+308, stop_ns: 1.0e+308",
+             "grid.step_ns"),
+            ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 1.0e+7, step_ns: 1.0e-3", "grid.step_ns"),
+            ("wavelength_m: 0.005", "frequency_hz: 1.0e-320", "carrier.frequency_hz"),
+        ],
+        ids=["grid_overflow", "grid_too_many_samples", "subnormal_frequency"],
+    )
+    def test_degenerate_derived_value_is_validation_error(self, tmp_path, capsys, old, new, key):
+        cfg = write_config(tmp_path, BASE.replace(old, new))
+        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -353,3 +384,17 @@ class TestTraceCsv:
         assert ",\n" in content  # the empty sentinel field
         back = read_trace_csv(str(path))
         assert back.values[1] == -math.inf
+
+    @pytest.mark.parametrize("field", ["delay", "power"])
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_literals_are_rejected_with_the_row(self, tmp_path, field, literal):
+        trace = PdpTrace(delays=np.arange(3) * 1e-9, values=np.array([-10.0, -20.0, -30.0]),
+                         scale="db")
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        lines = path.read_text().splitlines()
+        delay, power = lines[-2].split(",")
+        lines[-2] = f"{literal},{power}" if field == "delay" else f"{delay},{literal}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=rf"row {len(lines) - 1}: bad {field} value"):
+            read_trace_csv(str(path))

@@ -212,6 +212,11 @@ class TestSimConfig:
             SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10.5e-9)
         with pytest.raises(ValueError, match="n_realizations"):
             SimConfig(n_realizations=0, bin_width=1e-9, max_delay=10e-9)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_delay.*finite"):
+                SimConfig(n_realizations=1, bin_width=1e-9, max_delay=bad)
+            with pytest.raises(ValueError, match="bin_width.*finite"):
+                SimConfig(n_realizations=1, bin_width=bad, max_delay=10e-9)
 
     def test_placement_validation(self):
         with pytest.raises(ValueError, match="placement"):
@@ -256,9 +261,18 @@ class TestSimulate:
         npt.assert_array_equal(a[0].values, b[0].values)
         npt.assert_array_equal(a[1].values, b[1].values)
 
-    def test_worker_count_does_not_change_results(self):
-        serial = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, self.small_cfg())
-        parallel = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, self.small_cfg(), workers=2)
+    # Two chunks for uniform placement; three for NLOS, where the sum over
+    # partials also depends on the order in which they are added.
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(), dict(n_realizations=5000, placement="fixed", distance=1.8, los=False)],
+        ids=["uniform", "fixed_nlos"],
+    )
+    def test_worker_count_does_not_change_results(self, kw):
+        cfg = self.small_cfg(**kw)
+        assert cfg.n_realizations > _CHUNK
+        serial = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+        parallel = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg, workers=2)
         npt.assert_array_equal(serial[0].values, parallel[0].values)
         npt.assert_array_equal(serial[1].values, parallel[1].values)
 
