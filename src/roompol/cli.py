@@ -16,6 +16,7 @@ import numpy as np
 
 from . import fitting, io, mirror, model
 from .config import ConfigError, FitSettings, RunConfig, load_run_config
+from .measurement import PdpTrace
 
 
 def _db(values: np.ndarray) -> np.ndarray:
@@ -122,8 +123,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         [io.format_delay_ns] + [io.format_db] * 4,
     )
     if args.trace_prefix:
-        from .measurement import PdpTrace
-
         for tag, trace in (("co", co_sim), ("cross", cross_sim)):
             io.write_trace_csv(
                 f"{args.trace_prefix}_{tag}.csv",

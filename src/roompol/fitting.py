@@ -6,6 +6,10 @@ split xi, and noise floor so that the modeled observed traces match the
 measured co- and cross-polarized average PDPs jointly, in dB. The search
 runs in an unconstrained space: g, gamma, xi through a scaled logit over
 their bound intervals and the noise power through a log transform.
+
+This is the only module that uses scipy, and only inside `fit` and its
+parameter transforms: importing it, or the fit defaults the run config
+reads from it, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
-from scipy.special import expit, logit
 
 from .measurement import ObservationParams, PdpTrace, PulseShape, observed_pds
 from .model import (
@@ -187,11 +189,15 @@ def estimate_noise_floor(problem: FitProblem) -> float:
 
 
 def _to_internal(params, bounds) -> np.ndarray:
+    from scipy.special import logit
+
     u = [logit((v - lo) / (hi - lo)) for v, (lo, hi) in zip(params[:3], bounds)]
     return np.array(u + [math.log(params[3])])
 
 
 def _from_internal(u, bounds) -> tuple[float, float, float, float]:
+    from scipy.special import expit
+
     vals = [lo + (hi - lo) * expit(ui) for ui, (lo, hi) in zip(u[:3], bounds)]
     return (*vals, math.exp(u[3]))
 
@@ -205,6 +211,8 @@ def fit(problem: FitProblem) -> FitResult:
     within the iteration budget is reported through the `converged` flag;
     a result is returned either way.
     """
+    from scipy.optimize import least_squares, minimize
+
     mask = _window_mask(problem)
     n_window = int(mask.sum())
     if 2 * n_window < 4:

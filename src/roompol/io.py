@@ -1,8 +1,9 @@
 """CSV formats: full-precision PDP traces and formatted report tables.
 
 Conventions shared by every file: comma separation, '.' decimal separator,
-a header row after '#' comment lines, delays in nanoseconds, and non-finite
-power values (notably -inf dB for zero power) written as empty fields.
+a header row after '#' comment lines, delays in nanoseconds, and -inf dB
+(zero power) written as the empty field. Reports write any non-finite value
+that way; traces, which must read back exactly, accept only -inf.
 0 dB corresponds to a normalized power density of 1 per second.
 """
 
@@ -30,12 +31,21 @@ def format_db(value: float) -> str:
 
 
 def write_trace_csv(path: str, trace: PdpTrace) -> None:
-    """Write a PDP trace at full precision so a read round-trips exactly."""
+    """Write a PDP trace at full precision so a read round-trips exactly.
+
+    -inf is written as the empty field. +inf and NaN have no spelling the
+    reader accepts, so they raise `ValueError` naming the sample index.
+    """
     unit = "power_db" if trace.scale == "db" else "power_linear"
     lines = ["# roompol pdp trace", f"# scale: {trace.scale}", _DB_REFERENCE_NOTE]
     lines.append(f"delay_ns,{unit}")
-    for delay, value in zip(trace.delays, trace.values):
-        v = "" if not math.isfinite(value) else f"{value:.17g}"
+    for i, (delay, value) in enumerate(zip(trace.delays, trace.values)):
+        if value == -math.inf:
+            v = ""
+        elif math.isfinite(value):
+            v = f"{value:.17g}"
+        else:
+            raise ValueError(f"sample {i}: power value {value} cannot be written to a trace CSV")
         lines.append(f"{delay * 1e9:.17g},{v}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -320,8 +319,15 @@ def simulate_pdp(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_workers = min(max(1, workers or 1), len(sizes), cpus or 1)
 
+    if n_workers > 1:
+        # imported here so single-worker runs skip concurrent.futures.process
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(n_workers)
+    else:
+        executor = nullcontext()
     acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
-    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+    with executor as pool:
         for part_co, part_cross in (pool.map if pool else map)(run, seeds, sizes):
             acc_co += part_co
             acc_cross += part_cross

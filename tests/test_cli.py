@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import roompol
 from roompol import (
     DistanceCondition,
     ObservationParams,
@@ -385,6 +391,15 @@ class TestTraceCsv:
         back = read_trace_csv(str(path))
         assert back.values[1] == -math.inf
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_writer_rejects_power_the_reader_cannot_read_back(self, tmp_path, bad):
+        # the empty field reads back as -inf, so +inf and NaN have no spelling
+        trace = PdpTrace(delays=np.arange(2) * 1e-9, values=np.array([-10.0, bad]), scale="db")
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="sample 1"):
+            write_trace_csv(str(path), trace)
+        assert not path.exists()
+
     @pytest.mark.parametrize("field", ["delay", "power"])
     @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_literals_are_rejected_with_the_row(self, tmp_path, field, literal):
@@ -398,3 +413,50 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=rf"row {len(lines) - 1}: bad {field} value"):
             read_trace_csv(str(path))
+
+
+class TestImportGraph:
+    # Runs in a fresh interpreter, since this one has loaded scipy already.
+    SCRIPT = """
+import json, sys
+import roompol, roompol.cli
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+config, co, cross, out = sys.argv[1:]
+seen = {"import": loaded("scipy")}
+for argv in (["eval"], ["cpr"], ["simulate", "--workers", "1"]):
+    assert roompol.cli.main([*argv, "--config", config, "--out", out]) == 0
+    seen[argv[0]] = loaded("scipy")
+seen["process_pool"] = loaded("concurrent.futures.process")
+assert roompol.cli.main(["fit", "--config", config, "--co", co, "--cross", cross,
+                         "--out", out]) == 0
+seen["fit_loads_optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+    def test_only_fit_loads_scipy(self, tmp_path):
+        config, paths = TestFit().make_inputs(tmp_path)
+        with open(config, "a") as fh:
+            fh.write(
+                "material: {g: 0.4, gamma: 0.04}\n"
+                "antennas: {xi: 0.1}\n"
+                "grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}\n"
+                "cpr: {distances_m: [0.5, 1.8]}\n"
+            )
+            fh.write(TestSimulate.SIM.splitlines()[-1] + "\n")
+        src = str(Path(roompol.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, config, paths["co"], paths["cross"],
+             str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {
+            "import": [], "eval": [], "cpr": [], "simulate": [], "process_pool": [],
+            "fit_loads_optimize": True,
+        }

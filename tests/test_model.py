@@ -4,7 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
@@ -202,13 +202,25 @@ class TestTimeConstants:
         by_ratio = mixing_time(room, MAT, C_ROUND) / reverberation_time(room, MAT, C_ROUND)
         assert mixing_constant(MAT) == pytest.approx(by_ratio, rel=1e-13)
 
-    def test_material_from_times_round_trip(self):
-        t_rev = reverberation_time(ROOM, MAT, C_ROUND)
-        t_mix = mixing_time(ROOM, MAT, C_ROUND)
-        back = wall_material_from_times(ROOM, t_rev, t_mix, C_ROUND)
-        assert back.g == pytest.approx(MAT.g, rel=1e-12)
-        assert back.gamma == pytest.approx(MAT.gamma, rel=1e-12)
-        assert wall_material_from_times(ROOM, t_rev, math.inf, C_ROUND).gamma == 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sides=st.tuples(*[st.floats(1.0, 20.0)] * 3),
+        g=st.floats(0.05, 0.95),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+    )
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.04)
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.0)
+    @example(sides=(20.0, 20.0, 20.0), g=0.95, gamma=1e-6)
+    def test_material_from_times_round_trip(self, sides, g, gamma):
+        """(T, T_p) -> (g, gamma) inverts the forward maps to rel 1e-12;
+        gamma = 0 gives T_p = inf and comes back as exactly 0."""
+        room = RoomGeometry(*sides)
+        material = WallMaterial(g, gamma)
+        back = wall_material_from_times(
+            room, reverberation_time(room, material), mixing_time(room, material)
+        )
+        assert math.isclose(back.g, g, rel_tol=1e-12)
+        assert math.isclose(back.gamma, gamma, rel_tol=1e-12)
 
 
 class TestPds:
