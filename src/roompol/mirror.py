@@ -322,12 +322,8 @@ def simulate_pdp(
     if n_workers > 1:
         # imported here so single-worker runs skip concurrent.futures.process
         from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(n_workers)
-    else:
-        executor = nullcontext()
     acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
-    with executor as pool:
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         for part_co, part_cross in (pool.map if pool else map)(run, seeds, sizes):
             acc_co += part_co
             acc_cross += part_cross

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from roompol import (
+    SPEED_OF_LIGHT,
     DistanceCondition,
     PdsParams,
     PolGain,
@@ -207,17 +208,19 @@ class TestTimeConstants:
         sides=st.tuples(*[st.floats(1.0, 20.0)] * 3),
         g=st.floats(0.05, 0.95),
         gamma=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+        c=st.sampled_from([C_ROUND, SPEED_OF_LIGHT]),
     )
-    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.04)
-    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.0)
-    @example(sides=(20.0, 20.0, 20.0), g=0.95, gamma=1e-6)
-    def test_material_from_times_round_trip(self, sides, g, gamma):
-        """(T, T_p) -> (g, gamma) inverts the forward maps to rel 1e-12;
-        gamma = 0 gives T_p = inf and comes back as exactly 0."""
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.04, c=C_ROUND)
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.0, c=C_ROUND)
+    @example(sides=(20.0, 20.0, 20.0), g=0.95, gamma=1e-6, c=C_ROUND)
+    def test_material_from_times_round_trip(self, sides, g, gamma, c):
+        """(T, T_p) -> (g, gamma) inverts the forward maps to rel 1e-12 at
+        the given speed of light; gamma = 0 gives T_p = inf and comes back
+        as exactly 0."""
         room = RoomGeometry(*sides)
         material = WallMaterial(g, gamma)
         back = wall_material_from_times(
-            room, reverberation_time(room, material), mixing_time(room, material)
+            room, reverberation_time(room, material, c), mixing_time(room, material, c), c
         )
         assert math.isclose(back.g, g, rel_tol=1e-12)
         assert math.isclose(back.gamma, gamma, rel_tol=1e-12)
