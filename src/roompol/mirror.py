@@ -17,6 +17,8 @@ box lies within reach = c * max_delay of the room are kept (Allen & Berkley,
 JASA 65(4), 1979). The distance from that box to the room is a lower bound
 on every image-to-receiver distance, so a dropped cell could only produce
 arrivals at or beyond max_delay, which the simulator discards anyway.
+Each chunk forms its arrivals in row tiles of bounded size and bins them in
+the untiled order, so memory stays flat in max_delay and the bins unchanged.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .model import (
 )
 
 _CHUNK = 2048  # realizations per work unit; fixed so results never depend on worker count
+_TILE = 2**15  # (realization, cell) pairs formed at once inside a chunk; bounds its memory
 
 _PLACEMENTS = ("uniform", "fixed")
 
@@ -222,35 +225,46 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
 def _run_chunk(
     seed_seq, n, *, cfg, lattice, g_pow, mix_co, mix_cross, wavelength, speed_of_light, n_bins
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate binned co/cross powers for one chunk of n realizations."""
+    """Accumulate binned co/cross powers for one chunk of n realizations.
+
+    The (realization, cell) pairs are formed in row tiles of about `_TILE`
+    pairs, so their arrays take O(max(_TILE, n_cells)) memory, whatever
+    `_CHUNK` is (only the small per-axis terms `sq` grow with it). Only
+    arrivals before max_delay are gathered, in row-major order, and
+    `np.add.at` adds each into its bin in that order, as one `np.bincount`
+    over the chunk would: every bin sum is bit-identical to the untiled one.
+    """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
     if cfg.placement == "uniform":
         tx, rx = _sample_uniform(rng, n, dims)
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
+    # An array unpickled in a pool worker has its own float64 dtype object,
+    # which products inherit and which sends `np.add.at` off its fast path.
+    g_pow, mix_co, mix_cross = (np.asarray(a, dtype=float) for a in (g_pow, mix_co, mix_cross))
 
-    # Summed as (x + y) + z, realization-major over the kept cells: the same
-    # terms in the same order as over the full cube, so every bin sum is
-    # bit-identical to the unpruned computation.
     sq = [
         (off[None, :] + sign[None, :] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
         for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
     ]
     ix, iy, iz = lattice.cells
-    d2 = sq[0][:, ix]
-    d2 += sq[1][:, iy]
-    d2 += sq[2][:, iz]
-
-    tau = np.sqrt(d2) / speed_of_light
-    mask = (tau < cfg.max_delay) & (d2 > 0.0)
-    w = wavelength * wavelength / (4.0 * np.pi * d2[mask])
-    attn = np.broadcast_to(g_pow, d2.shape)[mask] * w
-    idx = (tau[mask] / cfg.bin_width).astype(np.int64)
-    return tuple(
-        np.bincount(idx, weights=attn * np.broadcast_to(mix, d2.shape)[mask], minlength=n_bins)
-        for mix in (mix_co, mix_cross)
-    )
+    rows = max(1, _TILE // ix.size)
+    acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
+    for r in range(0, n, rows):
+        # Summed as (x + y) + z, realization-major over the kept cells: the
+        # same terms in the same order as over the full cube.
+        d2 = sq[0][r : r + rows, ix]
+        d2 += sq[1][r : r + rows, iy]
+        d2 += sq[2][r : r + rows, iz]
+        tau = np.sqrt(d2) / speed_of_light
+        flat = np.flatnonzero((tau < cfg.max_delay) & (d2 > 0.0))
+        d2, tau, cell = d2.ravel()[flat], tau.ravel()[flat], flat % ix.size
+        attn = g_pow[cell] * (wavelength * wavelength / (4.0 * np.pi * d2))
+        idx = (tau / cfg.bin_width).astype(np.int64)
+        np.add.at(acc_co, idx, attn * mix_co[cell])
+        np.add.at(acc_cross, idx, attn * mix_cross[cell])
+    return acc_co, acc_cross
 
 
 def simulate_pdp(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from roompol import (
     enumerate_images,
     simulate_pdp,
 )
+from roompol import mirror
 from roompol.mirror import _CHUNK, _axis_images, _sample_fixed, _sample_uniform
 from roompol.model import SPEED_OF_LIGHT
 
@@ -200,6 +202,46 @@ class TestReachPruning:
         ref_co, ref_cross = full_cube_pdp(ROOM, MAT, V_MU, mu_r, LAM, cfg)
         assert np.array_equal(co.values, ref_co)
         assert np.array_equal(cross.values, ref_cross)
+
+
+class TestTiling:
+    @pytest.mark.parametrize(
+        "tile", [lambda n_cells: 1, lambda n_cells: 3 * n_cells + 1], ids=["one_row", "ragged"]
+    )
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(), dict(placement="fixed", distance=1.8, los=False)],
+        ids=["uniform", "fixed_nlos"],
+    )
+    def test_tile_size_leaves_every_bin_bit_identical(self, monkeypatch, tile, kw):
+        # 3000 realizations are chunks of 2048 and 952; neither is a multiple
+        # of three rows, so the "ragged" tiling ends each chunk on a short tile.
+        cfg = SimConfig(
+            n_realizations=3000, bin_width=1e-9, max_delay=31e-9, rng_seed=5, **kw
+        )
+        n_cells = enumerate_images(ROOM, SPEED_OF_LIGHT * cfg.max_delay).bounces.size
+        monkeypatch.setattr(mirror, "_TILE", tile(n_cells))
+        mu_r = PolGain.from_split(0.3)
+        co, cross = simulate_pdp(ROOM, MAT, V_MU, mu_r, LAM, cfg)
+        ref_co, ref_cross = full_cube_pdp(ROOM, MAT, V_MU, mu_r, LAM, cfg)
+        assert np.array_equal(co.values, ref_co)
+        assert np.array_equal(cross.values, ref_cross)
+
+    @pytest.mark.parametrize("delay_ns", [53, 80])
+    def test_chunk_memory_is_bounded_as_max_delay_grows(self, delay_ns):
+        # The kept lattice grows as max_delay**3 (1041 cells at 53 ns, 2685 at
+        # 80 ns); an untiled chunk of 2048 realizations holds several float64
+        # arrays of 2048 x n_cells, 68 MB at 53 ns.
+        cfg = SimConfig(
+            n_realizations=_CHUNK, bin_width=1e-9, max_delay=delay_ns * 1e-9, rng_seed=1
+        )
+        tracemalloc.start()
+        try:
+            simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSimConfig:
