@@ -19,6 +19,8 @@ on every image-to-receiver distance, so a dropped cell could only produce
 arrivals at or beyond max_delay, which the simulator discards anyway.
 Each chunk forms its arrivals in row tiles of bounded size and bins them in
 the untiled order, so memory stays flat in max_delay and the bins unchanged.
+Within a tile, pairs beyond reach are dropped on their squared distance, so
+the square root and the delay are computed for the survivors only.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from .model import (
 )
 
 _CHUNK = 2048  # realizations per work unit; fixed so results never depend on worker count
-_TILE = 2**15  # (realization, cell) pairs formed at once inside a chunk; bounds its memory
+_TILE = 2**14  # (realization, cell) pairs formed at once inside a chunk; bounds its memory
 
 _PLACEMENTS = ("uniform", "fixed")
 
 _REACH_SLACK = 1e-9  # relative; see enumerate_images
+_MAX_CUBE_CELLS = 10**7  # image cube cells enumerate_images may build (80 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,15 @@ class SimConfig:
             raise ValueError("max_delay must be an integer multiple of bin_width")
 
 
+def _axis_p_ranges(length: float, span: float):
+    """Inclusive ranges of p for the even- and odd-type entries of `_axis_images`."""
+    two_l = 2.0 * length
+    return (
+        (math.floor(-(span + length) / two_l), math.ceil((length + span) / two_l)),
+        (math.floor(-span / two_l), math.ceil((2.0 * length + span) / two_l)),
+    )
+
+
 def _axis_images(length: float, span: float):
     """Mirror coordinates along one axis as offset + sign * tx.
 
@@ -99,14 +111,9 @@ def _axis_images(length: float, span: float):
     2p*length - tx with |2p - 1|; the even p = 0 entry is the transmitter
     itself and is flagged for direct-path handling.
     """
-    p_even = np.arange(
-        math.floor(-(span + length) / (2.0 * length)),
-        math.ceil((length + span) / (2.0 * length)) + 1,
-    )
-    p_odd = np.arange(
-        math.floor(-span / (2.0 * length)),
-        math.ceil((2.0 * length + span) / (2.0 * length)) + 1,
-    )
+    (even_lo, even_hi), (odd_lo, odd_hi) = _axis_p_ranges(length, span)
+    p_even = np.arange(even_lo, even_hi + 1)
+    p_odd = np.arange(odd_lo, odd_hi + 1)
     offsets = np.concatenate([2.0 * p_even * length, 2.0 * p_odd * length])
     signs = np.concatenate([np.ones(p_even.size), -np.ones(p_odd.size)])
     bounces = np.concatenate([np.abs(2 * p_even), np.abs(2 * p_odd - 1)]).astype(np.int64)
@@ -163,10 +170,18 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
     kept cells hold every arrival with delay below reach / c, for every
     transmitter and receiver inside the room. The relative slack on `reach`
     keeps that guarantee when rounding shifts a squared distance by an ulp.
+    The full cube is built before pruning, so its cell count, which grows as
+    reach**3, is checked against `_MAX_CUBE_CELLS` before any array exists.
     """
-    if not reach > 0:
-        raise ValueError(f"reach must be > 0, got {reach}")
+    if not 0 < reach < math.inf:
+        raise ValueError(f"reach must be finite and > 0, got {reach}")
     dims = (room.lx, room.ly, room.lz)
+    n_cube = math.prod(sum(hi - lo + 1 for lo, hi in _axis_p_ranges(l, reach)) for l in dims)
+    if n_cube > _MAX_CUBE_CELLS:
+        raise ValueError(
+            f"reach {reach:.4g} m needs more than {_MAX_CUBE_CELLS} mirror-image cells; "
+            "lower max_delay"
+        )
     per_axis = [_axis_images(l, reach) for l in dims]
     gap2 = []
     for l, (off, sign, _, _) in zip(dims, per_axis):
@@ -210,7 +225,7 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
         if take == 0:
             stalled += 1
             if stalled > 1000:
-                raise RuntimeError(
+                raise ValueError(
                     f"could not place transmitter at distance {distance} m inside the room"
                 )
             continue
@@ -233,6 +248,15 @@ def _run_chunk(
     arrivals before max_delay are gathered, in row-major order, and
     `np.add.at` adds each into its bin in that order, as one `np.bincount`
     over the chunk would: every bin sum is bit-identical to the untiled one.
+
+    A tile keeps the pairs with 0 < d2 < reach2 = (c * max_delay)**2 * (1 +
+    `_REACH_SLACK`), takes sqrt and delay of those only, and then compresses
+    them in order by the exact test tau < max_delay. A pair that passes it
+    has d2 within a few ulp of (c * max_delay)**2 at most, well inside the
+    slack, so the kept pairs and their order are those of testing every
+    pair. Weights are gathered by flat index from per-cell arrays tiled once
+    per chunk (no modulo per arrival), after the re-wrap below, so the
+    copies keep numpy's own float64 dtype object as well.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
@@ -250,6 +274,8 @@ def _run_chunk(
     ]
     ix, iy, iz = lattice.cells
     rows = max(1, _TILE // ix.size)
+    g_rows, co_rows, cross_rows = (np.tile(a, rows) for a in (g_pow, mix_co, mix_cross))
+    reach2 = (speed_of_light * cfg.max_delay) ** 2 * (1.0 + _REACH_SLACK)
     acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
@@ -257,13 +283,15 @@ def _run_chunk(
         d2 = sq[0][r : r + rows, ix]
         d2 += sq[1][r : r + rows, iy]
         d2 += sq[2][r : r + rows, iz]
+        flat = np.flatnonzero((d2 < reach2) & (d2 > 0.0))
+        d2 = d2.ravel()[flat]
         tau = np.sqrt(d2) / speed_of_light
-        flat = np.flatnonzero((tau < cfg.max_delay) & (d2 > 0.0))
-        d2, tau, cell = d2.ravel()[flat], tau.ravel()[flat], flat % ix.size
-        attn = g_pow[cell] * (wavelength * wavelength / (4.0 * np.pi * d2))
+        keep = tau < cfg.max_delay
+        flat, d2, tau = flat[keep], d2[keep], tau[keep]
+        attn = g_rows[flat] * (wavelength * wavelength / (4.0 * np.pi * d2))
         idx = (tau / cfg.bin_width).astype(np.int64)
-        np.add.at(acc_co, idx, attn * mix_co[cell])
-        np.add.at(acc_cross, idx, attn * mix_cross[cell])
+        np.add.at(acc_co, idx, attn * co_rows[flat])
+        np.add.at(acc_cross, idx, attn * cross_rows[flat])
     return acc_co, acc_cross
 
 

@@ -362,6 +362,24 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    # Simulation settings the config accepts but the simulator cannot run.
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("link: {distance_m: 5.82}\n"
+             "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
+             "placement: fixed}\n", "could not place"),
+            ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 1.0e+5}\n",
+             "lower max_delay"),
+        ],
+        ids=["unplaceable_distance", "image_cube_too_large"],
+    )
+    def test_unrunnable_simulation_is_validation_error(self, tmp_path, capsys, extra, message):
+        cfg = write_config(tmp_path, BASE + extra)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):

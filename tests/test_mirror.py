@@ -150,6 +150,28 @@ class TestEnumerateImages:
             lattice.positions(np.array([-0.1, 2.0, 1.5]))
         with pytest.raises(ValueError, match="reach"):
             enumerate_images(ROOM, reach=0.0)
+        with pytest.raises(ValueError, match="reach"):
+            enumerate_images(ROOM, reach=math.inf)
+
+    def test_cube_cap_is_exact(self, monkeypatch):
+        # 1859 cells at 31 ns (TestReachPruning.test_kept_cell_counts)
+        reach = SPEED_OF_LIGHT * 31e-9
+        monkeypatch.setattr(mirror, "_MAX_CUBE_CELLS", 1859)
+        assert enumerate_images(ROOM, reach).bounces.size == 323
+        monkeypatch.setattr(mirror, "_MAX_CUBE_CELLS", 1858)
+        with pytest.raises(ValueError, match="lower max_delay"):
+            enumerate_images(ROOM, reach)
+
+    def test_long_reach_is_rejected_before_the_cube_is_built(self):
+        # 100 us: a cube of about 6e12 cells, 44 TiB as float64
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"reach 2\.998e\+04 m .*lower max_delay"):
+                enumerate_images(ROOM, SPEED_OF_LIGHT * 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 @st.composite
@@ -279,6 +301,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="admits no placement"):
             simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
 
+    def test_unplaceable_fixed_distance_is_a_value_error(self):
+        # below the 5.831 m diagonal, so only the rejection sampler can tell
+        cfg = SimConfig(
+            n_realizations=10, bin_width=1e-9, max_delay=10e-9,
+            placement="fixed", distance=5.82,
+        )
+        with pytest.raises(ValueError, match="could not place"):
+            simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+
     @pytest.mark.parametrize("wavelength", [0.0, -5e-3])
     def test_rejects_nonpositive_wavelength(self, wavelength):
         cfg = SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10e-9)
@@ -351,6 +382,27 @@ class TestSimulate:
         npt.assert_array_equal(others, np.zeros(others.size))
         # vertical antennas leave the direct arrival co-polarized only
         npt.assert_array_equal(los_cross.values, nlos_cross.values)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+    def test_direct_arrival_at_max_delay_is_kept_only_before_it(self, side):
+        # The d2 mask must not drop an arrival just before max_delay; random
+        # placements almost never come within 1e-9 of it.
+        room = RoomGeometry(10.0, 10.0, 10.0)
+        max_delay = 10e-9
+        distance = SPEED_OF_LIGHT * max_delay * (1.0 + side * 1e-11)
+        base = dict(
+            n_realizations=200, bin_width=1e-9, max_delay=max_delay, rng_seed=4,
+            placement="fixed", distance=distance,
+        )
+        los, _ = simulate_pdp(room, MAT, V_MU, V_MU, LAM, SimConfig(los=True, **base))
+        nlos, _ = simulate_pdp(room, MAT, V_MU, V_MU, LAM, SimConfig(los=False, **base))
+        diff = los.values - nlos.values
+        if side < 0:
+            expected = LAM**2 / (4 * math.pi * distance**2) / 1e-9
+            assert diff[-1] == pytest.approx(expected, rel=1e-12)
+            npt.assert_array_equal(diff[:-1], np.zeros(diff.size - 1))
+        else:
+            npt.assert_array_equal(diff, np.zeros(diff.size))
 
     def test_standard_error_shrinks_as_root_n(self):
         def spread(n, seed0):

@@ -534,6 +534,21 @@ class TestCprDistance:
             integrate_cpr_distance(p, cond), rel=5e-3
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.floats(0.2, 0.7),
+        gamma=st.floats(0.01, 0.3),
+        xi=st.floats(0.01, 0.3),
+        d=st.floats(0.2, 5.0),
+        los=st.booleans(),
+    )
+    def test_matches_quadrature_over_random_parameters(self, g, gamma, xi, d, los):
+        p = split_params(xi, material=WallMaterial(g, gamma))
+        cond = DistanceCondition(distance=d, los=los)
+        assert cpr_distance(p, cond) == pytest.approx(
+            integrate_cpr_distance(p, cond), rel=5e-3
+        )
+
     def test_infinite_without_leakage_or_cross_gain(self):
         cond = DistanceCondition(distance=1.8, los=True)
         assert cpr_distance(split_params(0.0), cond) == math.inf
