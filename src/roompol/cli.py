@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fitting, io, mirror, model
-from .config import ConfigError, FitSettings, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .measurement import PdpTrace
 
 
@@ -44,8 +44,8 @@ def _params(cfg: RunConfig) -> model.PdsParams:
 
 
 def _print_derived(p: model.PdsParams) -> None:
-    t_rev = model.reverberation_time(p.room, p.material, p.speed_of_light)
-    t_mix = model.mixing_time(p.room, p.material, p.speed_of_light)
+    t_rev = model.reverberation_time(p.room, p.material)
+    t_mix = model.mixing_time(p.room, p.material)
     ratio = model.cpr(p)
     print(f"T = {_fmt(t_rev * 1e9)} ns")
     print(f"T_p = {_fmt(t_mix * 1e9)} ns")
@@ -136,12 +136,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     cfg.require("pulse", "pulse")
-    settings = cfg.fit if cfg.fit is not None else FitSettings()
     co_trace = io.read_trace_csv(args.co)
     cross_trace = io.read_trace_csv(args.cross)
-    for name, tr in (("co", co_trace), ("cross", cross_trace)):
-        if tr.scale != "db":
-            raise ConfigError(f"{name} input trace must be in dB")
     problem = fitting.FitProblem(
         room=cfg.room,
         wavelength=cfg.wavelength,
@@ -149,11 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         pulse=cfg.pulse,
         co_trace=co_trace,
         cross_trace=cross_trace,
-        fit_window=settings.window,
-        initial_guess=settings.initial_guess,
-        bounds=settings.bounds,
-        method=settings.method,
-        max_iterations=settings.max_iterations,
+        **(cfg.fit or {}),
     )
     result = fitting.fit(problem)
     fitted_params = fitting.split_params(problem, result.g, result.gamma, result.xi)

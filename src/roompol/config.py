@@ -26,15 +26,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class FitSettings:
-    initial_guess: tuple[float, float, float, float | None] = DEFAULT_GUESS
-    bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
-    window: tuple[float, float] | None = None
-    method: str = METHODS[0]
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-
-
-@dataclass
 class RunConfig:
     room: RoomGeometry
     wavelength: float
@@ -45,7 +36,7 @@ class RunConfig:
     pulse: PulseShape | None = None
     grid: np.ndarray | None = None
     sim: SimConfig | None = None
-    fit: FitSettings | None = None
+    fit: dict | None = None  # `fitting.FitProblem` keyword arguments
     cpr_distances: tuple[float, ...] | None = None
 
     def require(self, attr: str, section: str) -> None:
@@ -210,12 +201,13 @@ def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
     )
 
 
-def _parse_fit(doc: dict) -> FitSettings:
+def _parse_fit(doc: dict) -> dict:
+    """The [fit] section as `fitting.FitProblem` keyword arguments."""
     window = _get(doc, "fit", "window_ns", "pair", None)
     method = _get(doc, "fit", "method", "string", METHODS[0])
     if method not in METHODS:
         raise ConfigError(f"'fit.method' must be {' or '.join(map(repr, METHODS))}")
-    return FitSettings(
+    return dict(
         initial_guess=tuple(
             _get(doc, "fit", key, "number", default)
             for key, default in zip(("g0", "gamma0", "xi0", "noise0"), DEFAULT_GUESS)
@@ -224,7 +216,7 @@ def _parse_fit(doc: dict) -> FitSettings:
             _get(doc, "fit", key, "pair", default)
             for key, default in zip(("bounds_g", "bounds_gamma", "bounds_xi"), DEFAULT_BOUNDS)
         ),
-        window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
+        fit_window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
         method=method,
         max_iterations=_get(doc, "fit", "max_iterations", "integer", DEFAULT_MAX_ITERATIONS),
     )

@@ -328,19 +328,13 @@ def fit(problem: FitProblem) -> FitResult:
 
 
 def predict(
-    result: FitResult,
-    cond: DistanceCondition | None,
-    problem: FitProblem,
-    noise_power: float | None = None,
+    result: FitResult, cond: DistanceCondition | None, problem: FitProblem
 ) -> tuple[PdpTrace, PdpTrace]:
-    """Model observed traces at the fitted parameters under a new condition.
-
-    The noise floor defaults to the fitted one but is caller-overridable,
-    since it differs between measurement campaigns. Returns linear
-    (co, cross) traces on the problem grid.
+    """Model observed traces at the fitted parameters, noise floor included,
+    under a new link condition. Returns linear (co, cross) traces on the
+    problem grid.
     """
-    noise = result.noise_power if noise_power is None else noise_power
-    params = (result.g, result.gamma, result.xi, noise)
+    params = (result.g, result.gamma, result.xi, result.noise_power)
     co_lin, cross_lin = _model_traces(params, problem, cond)
     grid = problem.co_trace.delays
     return (

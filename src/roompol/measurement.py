@@ -184,8 +184,9 @@ def observed_pds(
     return PdpTrace(delays=grid.copy(), values=values, scale="linear")
 
 
-def average_pdp(realizations: list[PdpTrace], scale: str = "linear") -> PdpTrace:
-    """Sample-wise arithmetic mean of linear traces sharing one grid."""
+def average_pdp(realizations: list[PdpTrace]) -> PdpTrace:
+    """Sample-wise arithmetic mean of linear traces sharing one grid, as a
+    linear trace; `db_linear_convert` turns it into dB."""
     if not realizations:
         raise ValueError("need at least one realization to average")
     first = realizations[0]
@@ -195,12 +196,7 @@ def average_pdp(realizations: list[PdpTrace], scale: str = "linear") -> PdpTrace
         if tr.delays.shape != first.delays.shape or not np.array_equal(tr.delays, first.delays):
             raise ValueError(f"realization {i} is not on the shared delay grid")
     mean = np.mean([tr.values for tr in realizations], axis=0)
-    out = PdpTrace(delays=first.delays.copy(), values=mean, scale="linear")
-    if scale == "db":
-        return db_linear_convert(out, "db")
-    if scale != "linear":
-        raise ValueError(f"output scale must be 'linear' or 'db', got {scale!r}")
-    return out
+    return PdpTrace(delays=first.delays.copy(), values=mean, scale="linear")
 
 
 def db_linear_convert(trace: PdpTrace, target: str) -> PdpTrace:

@@ -19,8 +19,8 @@ on every image-to-receiver distance, so a dropped cell could only produce
 arrivals at or beyond max_delay, which the simulator discards anyway.
 Each chunk forms its arrivals in row tiles of bounded size and bins them in
 the untiled order, so memory stays flat in max_delay and the bins unchanged.
-Within a tile, pairs beyond reach are dropped on their squared distance, so
-the square root and the delay are computed for the survivors only.
+Within a tile, pairs at or beyond max_delay are dropped on their squared
+distance, so the square root and the delay are computed for the survivors only.
 """
 
 from __future__ import annotations
@@ -237,8 +237,24 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
     return tx_out, rx_out
 
 
+def _max_kept_d2(max_delay: float) -> float:
+    """Largest double d2 whose delay sqrt(d2) / c lies before `max_delay`.
+
+    Correctly rounded sqrt and division are monotone in d2, so the pairs with
+    0 < d2 <= this bound are exactly those with delay < max_delay. It lies a
+    few ulp from (c * max_delay)**2, and nextafter steps from there find it.
+    """
+    reach = SPEED_OF_LIGHT * max_delay
+    d2 = reach * reach
+    while math.sqrt(d2) / SPEED_OF_LIGHT >= max_delay:
+        d2 = math.nextafter(d2, 0.0)
+    while math.sqrt(math.nextafter(d2, math.inf)) / SPEED_OF_LIGHT < max_delay:
+        d2 = math.nextafter(d2, math.inf)
+    return d2
+
+
 def _run_chunk(
-    seed_seq, n, *, cfg, lattice, g_pow, mix_co, mix_cross, wavelength, speed_of_light, n_bins
+    seed_seq, n, *, cfg, lattice, g_pow, mix_co, mix_cross, wavelength, d2_max, n_bins
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate binned co/cross powers for one chunk of n realizations.
 
@@ -249,12 +265,9 @@ def _run_chunk(
     `np.add.at` adds each into its bin in that order, as one `np.bincount`
     over the chunk would: every bin sum is bit-identical to the untiled one.
 
-    A tile keeps the pairs with 0 < d2 < reach2 = (c * max_delay)**2 * (1 +
-    `_REACH_SLACK`), takes sqrt and delay of those only, and then compresses
-    them in order by the exact test tau < max_delay. A pair that passes it
-    has d2 within a few ulp of (c * max_delay)**2 at most, well inside the
-    slack, so the kept pairs and their order are those of testing every
-    pair. Weights are gathered by flat index from per-cell arrays tiled once
+    A tile keeps the pairs with 0 < d2 <= d2_max (`_max_kept_d2`), which are
+    exactly the arrivals before max_delay, and takes sqrt and delay of those
+    only. Weights are gathered by flat index from per-cell arrays tiled once
     per chunk (no modulo per arrival), after the re-wrap below, so the
     copies keep numpy's own float64 dtype object as well.
     """
@@ -275,7 +288,6 @@ def _run_chunk(
     ix, iy, iz = lattice.cells
     rows = max(1, _TILE // ix.size)
     g_rows, co_rows, cross_rows = (np.tile(a, rows) for a in (g_pow, mix_co, mix_cross))
-    reach2 = (speed_of_light * cfg.max_delay) ** 2 * (1.0 + _REACH_SLACK)
     acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
@@ -283,11 +295,9 @@ def _run_chunk(
         d2 = sq[0][r : r + rows, ix]
         d2 += sq[1][r : r + rows, iy]
         d2 += sq[2][r : r + rows, iz]
-        flat = np.flatnonzero((d2 < reach2) & (d2 > 0.0))
+        flat = np.flatnonzero((d2 > 0.0) & (d2 <= d2_max))
         d2 = d2.ravel()[flat]
-        tau = np.sqrt(d2) / speed_of_light
-        keep = tau < cfg.max_delay
-        flat, d2, tau = flat[keep], d2[keep], tau[keep]
+        tau = np.sqrt(d2) / SPEED_OF_LIGHT
         attn = g_rows[flat] * (wavelength * wavelength / (4.0 * np.pi * d2))
         idx = (tau / cfg.bin_width).astype(np.int64)
         np.add.at(acc_co, idx, attn * co_rows[flat])
@@ -302,7 +312,6 @@ def simulate_pdp(
     mu_r: PolGain,
     wavelength: float,
     cfg: SimConfig,
-    speed_of_light: float = SPEED_OF_LIGHT,
     workers: int | None = None,
 ) -> tuple[PdpTrace, PdpTrace]:
     """Estimate co- and cross-channel power delay profiles by Monte Carlo.
@@ -323,10 +332,7 @@ def simulate_pdp(
     seeds, reduced in chunk order. The chunks run in a pool of min(workers,
     chunks, available CPUs) processes, or in this process if that is one.
     """
-    p = PdsParams(
-        room=room, material=material, mu_t=mu_t, mu_r=mu_r,
-        wavelength=wavelength, speed_of_light=speed_of_light,
-    )
+    p = PdsParams(room=room, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=wavelength)
     if cfg.placement == "fixed" and cfg.distance >= room.diagonal():
         raise ValueError(
             f"fixed distance {cfg.distance} m admits no placement in a room "
@@ -334,7 +340,7 @@ def simulate_pdp(
         )
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
 
-    lattice = enumerate_images(room, speed_of_light * cfg.max_delay)
+    lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)
     if cfg.placement == "fixed" and not cfg.los:
         # Dropping a cell keeps the other arrivals in order, so bin sums are unchanged.
         keep = ~lattice.direct
@@ -354,7 +360,7 @@ def simulate_pdp(
 
     run = functools.partial(
         _run_chunk, cfg=cfg, lattice=lattice, g_pow=g_pow, mix_co=mix_co, mix_cross=mix_cross,
-        wavelength=wavelength, speed_of_light=speed_of_light, n_bins=n_bins,
+        wavelength=wavelength, d2_max=_max_kept_d2(cfg.max_delay), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SPEED_OF_LIGHT = 2.99792458e8  # m/s; override per parameter set for hand checks with 3e8
+SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,10 @@ class PdsParams:
     mu_t: PolGain
     mu_r: PolGain
     wavelength: float
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if not self.speed_of_light > 0:
-            raise ValueError(f"speed_of_light must be > 0, got {self.speed_of_light}")
 
 
 @dataclass(frozen=True)
@@ -151,11 +148,9 @@ def bounce_matrix_power(material: WallMaterial, n: float) -> np.ndarray:
     return (g**n / 2.0) * np.array([[1.0 + lam2, 1.0 - lam2], [1.0 - lam2, 1.0 + lam2]])
 
 
-def reverberation_time(
-    room: RoomGeometry, material: WallMaterial, speed_of_light: float = SPEED_OF_LIGHT
-) -> float:
+def reverberation_time(room: RoomGeometry, material: WallMaterial) -> float:
     """Eyring reverberation time T = -4V / (c S ln g), in seconds."""
-    return -4.0 * room.volume() / (speed_of_light * room.surface() * math.log(material.g))
+    return -4.0 * room.volume() / (SPEED_OF_LIGHT * room.surface() * math.log(material.g))
 
 
 def _log_rho(gamma: float) -> float:
@@ -168,9 +163,7 @@ def _log_rho(gamma: float) -> float:
     return math.log1p(-gamma) - math.log1p(gamma)
 
 
-def mixing_time(
-    room: RoomGeometry, material: WallMaterial, speed_of_light: float = SPEED_OF_LIGHT
-) -> float:
+def mixing_time(room: RoomGeometry, material: WallMaterial) -> float:
     """Polarimetric mixing time T_p = -4V / (c S ln((1-gamma)/(1+gamma))), in seconds.
 
     Returns +inf for gamma = 0 (no mixing ever happens); tends to 0 as
@@ -179,7 +172,7 @@ def mixing_time(
     gamma = material.gamma
     if gamma == 0.0:
         return math.inf
-    return -4.0 * room.volume() / (speed_of_light * room.surface() * _log_rho(gamma))
+    return -4.0 * room.volume() / (SPEED_OF_LIGHT * room.surface() * _log_rho(gamma))
 
 
 def mixing_constant(material: WallMaterial) -> float:
@@ -192,12 +185,7 @@ def mixing_constant(material: WallMaterial) -> float:
     return math.log(material.g) / _log_rho(material.gamma)
 
 
-def wall_material_from_times(
-    room: RoomGeometry,
-    t_rev: float,
-    t_mix: float,
-    speed_of_light: float = SPEED_OF_LIGHT,
-) -> WallMaterial:
+def wall_material_from_times(room: RoomGeometry, t_rev: float, t_mix: float) -> WallMaterial:
     """Invert (T, T_p) back to the wall material for a known room.
 
     `t_mix` may be +inf, which maps to gamma = 0.
@@ -206,7 +194,7 @@ def wall_material_from_times(
         raise ValueError(f"reverberation time must be > 0, got {t_rev}")
     if not t_mix > 0:
         raise ValueError(f"mixing time must be > 0, got {t_mix}")
-    scale = 4.0 * room.volume() / (speed_of_light * room.surface())
+    scale = 4.0 * room.volume() / (SPEED_OF_LIGHT * room.surface())
     g = math.exp(-scale / t_rev)
     if math.isinf(t_mix):
         gamma = 0.0
@@ -230,7 +218,7 @@ def _mu_products(p: PdsParams) -> tuple[float, float]:
 
 
 def _amplitude(p: PdsParams) -> float:
-    return p.speed_of_light * p.wavelength**2 / (2.0 * p.room.volume())
+    return SPEED_OF_LIGHT * p.wavelength**2 / (2.0 * p.room.volume())
 
 
 def pds_components(tau, p: PdsParams):
@@ -246,8 +234,8 @@ def pds_components(tau, p: PdsParams):
     tau_arr = np.asarray(tau, dtype=float)
     scalar = tau_arr.ndim == 0
     tt = np.maximum(tau_arr, 0.0)
-    t_rev = reverberation_time(p.room, p.material, p.speed_of_light)
-    t_mix = mixing_time(p.room, p.material, p.speed_of_light)
+    t_rev = reverberation_time(p.room, p.material)
+    t_mix = mixing_time(p.room, p.material)
     k_co, k_cross = _mu_products(p)
     decay = _amplitude(p) * np.exp(-tt / t_rev)
     mix = np.exp(-tt / t_mix) if math.isfinite(t_mix) else np.ones_like(tt)
@@ -284,7 +272,7 @@ def _bounce_expectations(tau: np.ndarray, p: PdsParams, bases: tuple[float, ...]
     """E[x^B] over directions and uniform placement, for each x in `bases`."""
     u, weights = _octant_directions()
     dims = np.array([p.room.lx, p.room.ly, p.room.lz])
-    scale = p.speed_of_light * u / dims[:, None]  # crossings per second of delay
+    scale = SPEED_OF_LIGHT * u / dims[:, None]  # crossings per second of delay
     out = [np.empty(tau.size) for _ in bases]
     for start in range(0, tau.size, _TAU_BLOCK):
         s = tau[start : start + _TAU_BLOCK, None, None] * scale[None, :, :]
@@ -364,7 +352,7 @@ def pds_asymptote(tau, p: PdsParams):
     if np.any(tau_arr < 0):
         raise ValueError("asymptote is only defined for tau >= 0")
     scalar = tau_arr.ndim == 0
-    t_rev = reverberation_time(p.room, p.material, p.speed_of_light)
+    t_rev = reverberation_time(p.room, p.material)
     k_co, k_cross = _mu_products(p)
     out = _amplitude(p) * np.exp(-tau_arr / t_rev) * (k_co + k_cross)
     return float(out) if scalar else out
@@ -382,7 +370,7 @@ def co_cross_ratio(tau, p: PdsParams):
         raise ValueError("co/cross ratio requires tau > 0")
     scalar = tau_arr.ndim == 0
     k_co, k_cross = _mu_products(p)
-    t_mix = mixing_time(p.room, p.material, p.speed_of_light)
+    t_mix = mixing_time(p.room, p.material)
     if k_cross == 0.0 or not math.isfinite(t_mix):
         out = np.full_like(tau_arr, math.inf)
     else:
@@ -408,7 +396,7 @@ def direct_path(p: PdsParams, cond: DistanceCondition | None) -> DirectPath | No
         return None
     k_co, _ = _mu_products(p)
     weight = k_co * p.wavelength**2 / (4.0 * math.pi * cond.distance**2)
-    return DirectPath(delay=cond.distance / p.speed_of_light, weight=weight)
+    return DirectPath(delay=cond.distance / SPEED_OF_LIGHT, weight=weight)
 
 
 def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
@@ -425,7 +413,7 @@ def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
         return pds(tau, p), None
     tau_arr = np.asarray(tau, dtype=float)
     scalar = tau_arr.ndim == 0
-    diffuse = np.where(tau_arr > cond.distance / p.speed_of_light, pds(tau_arr, p), 0.0)
+    diffuse = np.where(tau_arr > cond.distance / SPEED_OF_LIGHT, pds(tau_arr, p), 0.0)
     spike = direct_path(p, cond)
     if scalar:
         return float(diffuse), spike
@@ -451,10 +439,10 @@ def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:
     k_co, k_cross = _mu_products(p)
     if k_cross == 0.0 or p.material.gamma == 0.0:
         return math.inf
-    t_rev = reverberation_time(p.room, p.material, p.speed_of_light)
-    t_mix = mixing_time(p.room, p.material, p.speed_of_light)
+    t_rev = reverberation_time(p.room, p.material)
+    t_mix = mixing_time(p.room, p.material)
     d = cond.distance
-    c = p.speed_of_light
+    c = SPEED_OF_LIGHT
     r = t_mix / (t_rev + t_mix) * math.exp(-d / (c * t_mix))
     bracket = (1.0 + r) / (1.0 - r)
     q = 0.0

@@ -233,6 +233,14 @@ class TestFit:
         assert code == 2
         assert "delay grid" in capsys.readouterr().err
 
+    def test_linear_trace_is_a_validation_error(self, tmp_path, capsys):
+        config, paths = self.make_inputs(tmp_path)
+        write_trace_csv(paths["co"], db_linear_convert(read_trace_csv(paths["co"]), "linear"))
+        code = main(["fit", "--config", config, "--co", paths["co"],
+                     "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "co trace must be in dB" in capsys.readouterr().err
+
     def test_fit_recovers_parameters_from_eval_exported_curves(self, tmp_path, capsys):
         """Round trip through the file layer: eval curves + noise floor -> fit."""
         truth_noise = 1e-11

@@ -114,11 +114,11 @@ def test_fit_section_defaults_and_window(tmp_path):
     )
     cfg = load_run_config(write(tmp_path, text))
     assert cfg.pulse.bandwidth == pytest.approx(1e9)
-    assert cfg.fit.initial_guess[0] == pytest.approx(0.45)
-    assert cfg.fit.initial_guess[3] is None
-    assert cfg.fit.window == (pytest.approx(5e-9), pytest.approx(120e-9))
-    assert cfg.fit.max_iterations == 500
-    assert cfg.fit.method == "least_squares"
+    assert cfg.fit["initial_guess"][0] == pytest.approx(0.45)
+    assert cfg.fit["initial_guess"][3] is None
+    assert cfg.fit["fit_window"] == (pytest.approx(5e-9), pytest.approx(120e-9))
+    assert cfg.fit["max_iterations"] == 500
+    assert cfg.fit["method"] == "least_squares"
 
 
 def test_cpr_section_validation(tmp_path):
@@ -182,9 +182,9 @@ def full_document(section=None):
 def test_every_key_is_accepted(tmp_path, section):
     cfg = load_run_config(write(tmp_path, yaml.safe_dump(full_document(section))))
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
-    assert cfg.fit.bounds == ((0.1, 0.9), (0.01, 0.5), (0.01, 0.5))
-    assert cfg.fit.initial_guess == (0.45, 0.05, 0.1, 1e-10)
-    assert cfg.fit.method == "simplex"
+    assert cfg.fit["bounds"] == ((0.1, 0.9), (0.01, 0.5), (0.01, 0.5))
+    assert cfg.fit["initial_guess"] == (0.45, 0.05, 0.1, 1e-10)
+    assert cfg.fit["method"] == "simplex"
 
 
 @pytest.mark.parametrize("section, key", EVERY_KEY, ids=[f"{s}.{k}" for s, k in EVERY_KEY])

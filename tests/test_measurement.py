@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from roompol import (
+    SPEED_OF_LIGHT,
     DistanceCondition,
     ObservationParams,
     PdpTrace,
@@ -76,7 +77,7 @@ class TestObservedPds:
         p = make_params()
         trace = observed_pds(grid, p, cond, obs)
         diffuse, _ = pds_conditional(grid, p, cond)
-        onset = 1.8 / p.speed_of_light
+        onset = 1.8 / SPEED_OF_LIGHT
         beyond = grid > onset + 0.5e-9
         npt.assert_allclose(trace.values[beyond], diffuse[beyond], rtol=2e-4)
         before = grid < onset - 0.5e-9
@@ -94,7 +95,7 @@ class TestObservedPds:
         cond = DistanceCondition(distance=1.8, los=True)
         t_rev = reverberation_time(ROOM, MAT)
         step = 0.05e-9
-        grid = np.arange(0.0, cond.distance / p.speed_of_light + 20.0 * t_rev, step)
+        grid = np.arange(0.0, cond.distance / SPEED_OF_LIGHT + 20.0 * t_rev, step)
         noise = 1e-9
         obs = ObservationParams(pulse=PulseShape("boxcar", 4e9), noise_power=noise)
         trace = observed_pds(grid, p, cond, obs)
@@ -121,7 +122,7 @@ class TestObservedPds:
         obs = ObservationParams(pulse=PulseShape(kind, 4e9), noise_power=0.0)
         shift = 7
         d1 = 1.8
-        c = p.speed_of_light
+        c = SPEED_OF_LIGHT
         d2 = d1 + shift * step * c
         bump = []
         for d in (d1, d2):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roompol import (
@@ -264,6 +264,20 @@ class TestTiling:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestKeepBound:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-10, 1e-5))
+    @example(10e-9)
+    @example(31e-9)
+    @example(40e-9)
+    @example(53e-9)
+    def test_is_the_last_squared_distance_before_max_delay(self, max_delay):
+        # the chunk's own delay arithmetic: numpy sqrt, then divide by c
+        d2_max = np.float64(mirror._max_kept_d2(max_delay))
+        assert np.sqrt(d2_max) / SPEED_OF_LIGHT < max_delay
+        assert not np.sqrt(np.nextafter(d2_max, np.inf)) / SPEED_OF_LIGHT < max_delay
 
 
 class TestSimConfig:

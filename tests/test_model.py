@@ -35,25 +35,21 @@ from roompol import (
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 MAT = WallMaterial(g=0.4, gamma=0.04)
 LAM = 5e-3
-C_ROUND = 3e8  # round speed of light used for hand-checked reference values
 
 
-def make_params(mu_t, mu_r, material=MAT, room=ROOM, c=C_ROUND):
-    return PdsParams(
-        room=room, material=material, mu_t=mu_t, mu_r=mu_r,
-        wavelength=LAM, speed_of_light=c,
-    )
+def make_params(mu_t, mu_r, material=MAT, room=ROOM):
+    return PdsParams(room=room, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=LAM)
 
 
-def split_params(xi, material=MAT, room=ROOM, c=C_ROUND):
+def split_params(xi, material=MAT, room=ROOM):
     mu = PolGain.from_split(xi)
-    return make_params(mu, mu, material=material, room=room, c=c)
+    return make_params(mu, mu, material=material, room=room)
 
 
 def integrate_cpr(p):
     """Independent oracle: trapezoid quadrature of the co/cross densities."""
-    t_rev = reverberation_time(p.room, p.material, p.speed_of_light)
-    t_mix = mixing_time(p.room, p.material, p.speed_of_light)
+    t_rev = reverberation_time(p.room, p.material)
+    t_mix = mixing_time(p.room, p.material)
     step = min(t_rev, t_mix) / 100.0
     tau = np.arange(0.0, 60.0 * t_rev, step)
     co, cross = pds_components(tau, p)
@@ -65,9 +61,9 @@ def integrate_cpr(p):
 
 def integrate_cpr_distance(p, cond):
     """Oracle for the conditioned CPR: quadrature beyond d/c plus the spike."""
-    t_rev = reverberation_time(p.room, p.material, p.speed_of_light)
-    t_mix = mixing_time(p.room, p.material, p.speed_of_light)
-    t0 = cond.distance / p.speed_of_light
+    t_rev = reverberation_time(p.room, p.material)
+    t_mix = mixing_time(p.room, p.material)
+    t0 = cond.distance / SPEED_OF_LIGHT
     step = min(t_rev, t_mix) / 200.0
     tau = t0 + np.arange(0.0, 30.0 * t_rev, step)
     diffuse, spike = pds_conditional(tau, p, cond)
@@ -160,36 +156,36 @@ class TestBounceMatrix:
 
 class TestTimeConstants:
     def test_reverberation_time_reference_room(self):
-        t = reverberation_time(ROOM, MAT, C_ROUND)
-        expected = -4.0 * 36.0 / (C_ROUND * 66.0 * math.log(0.4))
+        t = reverberation_time(ROOM, MAT)
+        expected = -4.0 * 36.0 / (SPEED_OF_LIGHT * 66.0 * math.log(0.4))
         assert t == pytest.approx(expected, rel=1e-14)
-        assert t == pytest.approx(7.937e-9, rel=1e-3)
+        assert t == pytest.approx(7.943e-9, rel=1e-3)
 
     def test_reverberation_time_increases_with_gain(self):
-        times = [reverberation_time(ROOM, WallMaterial(g, 0.0), C_ROUND)
+        times = [reverberation_time(ROOM, WallMaterial(g, 0.0))
                  for g in (0.2, 0.4, 0.6, 0.9, 0.999999)]
         assert all(a < b for a, b in zip(times, times[1:]))
         assert times[-1] > 1e-5  # near-lossless walls reverberate almost forever
 
     def test_doubling_dimensions_doubles_reverberation_time(self):
         double = RoomGeometry(6.0, 8.0, 6.0)
-        assert reverberation_time(double, MAT, C_ROUND) == pytest.approx(
-            2.0 * reverberation_time(ROOM, MAT, C_ROUND), rel=1e-14
+        assert reverberation_time(double, MAT) == pytest.approx(
+            2.0 * reverberation_time(ROOM, MAT), rel=1e-14
         )
 
     def test_mixing_time_reference_room(self):
-        assert mixing_time(ROOM, MAT, C_ROUND) == pytest.approx(90.86e-9, rel=1e-3)
+        assert mixing_time(ROOM, MAT) == pytest.approx(90.92e-9, rel=1e-3)
 
     def test_mixing_time_limits(self):
-        assert mixing_time(ROOM, WallMaterial(0.4, 0.0), C_ROUND) == math.inf
+        assert mixing_time(ROOM, WallMaterial(0.4, 0.0)) == math.inf
         # T_p shrinks only logarithmically in (1 - gamma): ~0.34 ns here
-        assert mixing_time(ROOM, WallMaterial(0.4, 1.0 - 1e-9), C_ROUND) < 1e-9
+        assert mixing_time(ROOM, WallMaterial(0.4, 1.0 - 1e-9)) < 1e-9
 
     def test_leakage_below_rounding_keeps_finite_times(self):
         # (1 - gamma)/(1 + gamma) rounds to one here; ln of it is -2 gamma
         material = WallMaterial(0.4, 1e-300)
-        expected = 4.0 * 36.0 / (C_ROUND * 66.0 * 2e-300)
-        assert mixing_time(ROOM, material, C_ROUND) == pytest.approx(expected, rel=1e-14)
+        expected = 4.0 * 36.0 / (SPEED_OF_LIGHT * 66.0 * 2e-300)
+        assert mixing_time(ROOM, material) == pytest.approx(expected, rel=1e-14)
         assert mixing_constant(material) == pytest.approx(-math.log(0.4) / 2e-300, rel=1e-14)
 
     def test_mixing_constant_value_and_limits(self):
@@ -200,7 +196,7 @@ class TestTimeConstants:
         "room", [ROOM, RoomGeometry(6.0, 10.0, 3.0), RoomGeometry(2.0, 2.0, 2.0)]
     )
     def test_mixing_constant_is_room_independent(self, room):
-        by_ratio = mixing_time(room, MAT, C_ROUND) / reverberation_time(room, MAT, C_ROUND)
+        by_ratio = mixing_time(room, MAT) / reverberation_time(room, MAT)
         assert mixing_constant(MAT) == pytest.approx(by_ratio, rel=1e-13)
 
     @settings(max_examples=300, deadline=None)
@@ -208,19 +204,17 @@ class TestTimeConstants:
         sides=st.tuples(*[st.floats(1.0, 20.0)] * 3),
         g=st.floats(0.05, 0.95),
         gamma=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
-        c=st.sampled_from([C_ROUND, SPEED_OF_LIGHT]),
     )
-    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.04, c=C_ROUND)
-    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.0, c=C_ROUND)
-    @example(sides=(20.0, 20.0, 20.0), g=0.95, gamma=1e-6, c=C_ROUND)
-    def test_material_from_times_round_trip(self, sides, g, gamma, c):
-        """(T, T_p) -> (g, gamma) inverts the forward maps to rel 1e-12 at
-        the given speed of light; gamma = 0 gives T_p = inf and comes back
-        as exactly 0."""
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.04)
+    @example(sides=(3.0, 4.0, 3.0), g=0.4, gamma=0.0)
+    @example(sides=(20.0, 20.0, 20.0), g=0.95, gamma=1e-6)
+    def test_material_from_times_round_trip(self, sides, g, gamma):
+        """(T, T_p) -> (g, gamma) inverts the forward maps to rel 1e-12;
+        gamma = 0 gives T_p = inf and comes back as exactly 0."""
         room = RoomGeometry(*sides)
         material = WallMaterial(g, gamma)
         back = wall_material_from_times(
-            room, reverberation_time(room, material, c), mixing_time(room, material, c), c
+            room, reverberation_time(room, material), mixing_time(room, material)
         )
         assert math.isclose(back.g, g, rel_tol=1e-12)
         assert math.isclose(back.gamma, gamma, rel_tol=1e-12)
@@ -229,8 +223,8 @@ class TestTimeConstants:
 class TestPds:
     def test_zero_delay_value_for_vertical_antennas(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0))
-        assert pds(0.0, p) == pytest.approx(C_ROUND * LAM**2 / 36.0, rel=1e-14)
-        assert pds(0.0, p) == pytest.approx(208.33, rel=1e-4)
+        assert pds(0.0, p) == pytest.approx(SPEED_OF_LIGHT * LAM**2 / 36.0, rel=1e-14)
+        assert pds(0.0, p) == pytest.approx(208.189, rel=1e-4)
 
     def test_negative_delay_is_zero(self):
         p = split_params(0.1)
@@ -242,8 +236,8 @@ class TestPds:
     def test_no_leakage_recovers_classical_exponential(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0), material=WallMaterial(0.4, 0.0))
         tau = np.linspace(0.0, 60e-9, 500)
-        t_rev = reverberation_time(ROOM, p.material, C_ROUND)
-        expected = C_ROUND * LAM**2 / 36.0 * np.exp(-tau / t_rev)
+        t_rev = reverberation_time(ROOM, p.material)
+        expected = SPEED_OF_LIGHT * LAM**2 / 36.0 * np.exp(-tau / t_rev)
         npt.assert_allclose(pds(tau, p), expected, rtol=1e-12)
 
     def test_decomposition_is_exact(self):
@@ -306,10 +300,10 @@ class TestComponents:
         tau = np.linspace(0.0, 60e-9, 300)
         co, cross = pds_components(tau, p)
         npt.assert_array_equal(co, np.zeros_like(tau))
-        t_rev = reverberation_time(ROOM, MAT, C_ROUND)
-        t_mix = mixing_time(ROOM, MAT, C_ROUND)
+        t_rev = reverberation_time(ROOM, MAT)
+        t_mix = mixing_time(ROOM, MAT)
         expected = (
-            C_ROUND * LAM**2 * np.exp(-tau / t_rev) / (2 * 36.0)
+            SPEED_OF_LIGHT * LAM**2 * np.exp(-tau / t_rev) / (2 * 36.0)
             * (1.0 - np.exp(-tau / t_mix))
         )
         npt.assert_allclose(cross, expected, rtol=1e-12)
@@ -382,7 +376,7 @@ class TestComponentsExact:
 class TestCoCrossRatio:
     def test_large_delay_limit_is_antenna_prefactor(self):
         p = split_params(0.1)
-        t_mix = mixing_time(ROOM, MAT, C_ROUND)
+        t_mix = mixing_time(ROOM, MAT)
         assert co_cross_ratio(100.0 * t_mix, p) == pytest.approx(0.82 / 0.18, rel=1e-9)
         assert co_cross_ratio(100.0 * t_mix, p) == pytest.approx(4.5556, rel=1e-4)
 
@@ -392,14 +386,14 @@ class TestCoCrossRatio:
 
     def test_strictly_decreasing(self):
         p = split_params(0.1)
-        t_rev = reverberation_time(ROOM, MAT, C_ROUND)
+        t_rev = reverberation_time(ROOM, MAT)
         tau = np.geomspace(0.01 * t_rev, 20.0 * t_rev, 200)
         ratios = co_cross_ratio(tau, p)
         assert np.all(np.diff(ratios) < 0)
 
     def test_product_with_tanh_is_constant(self):
         p = split_params(0.1)
-        t_mix = mixing_time(ROOM, MAT, C_ROUND)
+        t_mix = mixing_time(ROOM, MAT)
         tau = np.geomspace(1e-10, 200e-9, 40)
         product = co_cross_ratio(tau, p) * np.tanh(tau / (2.0 * t_mix))
         npt.assert_allclose(product, np.full_like(tau, 0.82 / 0.18), rtol=1e-12)
@@ -448,8 +442,8 @@ class TestAsymptote:
     def test_vertical_antennas_asymptote(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0))
         tau = np.linspace(0.0, 60e-9, 61)
-        t_rev = reverberation_time(ROOM, MAT, C_ROUND)
-        expected = C_ROUND * LAM**2 * np.exp(-tau / t_rev) / (2 * 36.0)
+        t_rev = reverberation_time(ROOM, MAT)
+        expected = SPEED_OF_LIGHT * LAM**2 * np.exp(-tau / t_rev) / (2 * 36.0)
         npt.assert_allclose(pds_asymptote(tau, p), expected, rtol=1e-14)
 
     def test_rejects_negative_delay(self):
@@ -458,7 +452,7 @@ class TestAsymptote:
 
     def test_convergence_by_five_mixing_times(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0))
-        t_mix = mixing_time(ROOM, MAT, C_ROUND)
+        t_mix = mixing_time(ROOM, MAT)
         tau = np.linspace(5.0 * t_mix, 12.0 * t_mix, 50)
         gap_db = 10.0 * np.log10(pds(tau, p) / pds_asymptote(tau, p))
         assert np.all(np.abs(gap_db) <= 0.05)
@@ -473,9 +467,9 @@ class TestConditional:
     COND = DistanceCondition(distance=1.8, los=True)
 
     def test_nlos_is_zero_before_direct_delay(self):
-        p = make_params(PolGain(1, 0), PolGain(1, 0), c=2.99792458e8)
+        p = make_params(PolGain(1, 0), PolGain(1, 0))
         cond = DistanceCondition(distance=1.8, los=False)
-        direct = 1.8 / p.speed_of_light
+        direct = 1.8 / SPEED_OF_LIGHT
         tau = np.array([0.0, 0.5 * direct, direct])
         diffuse, spike = pds_conditional(tau, p, cond)
         npt.assert_array_equal(diffuse, np.zeros(3))
@@ -489,7 +483,7 @@ class TestConditional:
         npt.assert_array_equal(diffuse, pds(tau, p))
 
     def test_los_spike_descriptor(self):
-        p = make_params(PolGain(1, 0), PolGain(1, 0), c=2.99792458e8)
+        p = make_params(PolGain(1, 0), PolGain(1, 0))
         _, spike = pds_conditional(0.0, p, self.COND)
         assert spike.delay == pytest.approx(1.8 / 2.99792458e8, rel=1e-12)
         assert spike.delay == pytest.approx(6.005e-9, rel=1e-3)
