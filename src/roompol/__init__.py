@@ -18,6 +18,7 @@ from .model import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    bounce_count_table,
     bounce_matrix,
     bounce_matrix_power,
     channel_pair,

@@ -41,6 +41,8 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     _mu_products,
+    _rho_power,
+    bounce_split,
     channel_pair,
 )
 
@@ -349,14 +351,11 @@ def simulate_pdp(
             bounces=lattice.bounces[keep], direct=lattice.direct[keep],
         )
 
-    g, gamma = material.g, material.gamma
-    lam2_pow = ((1.0 - gamma) / (1.0 + gamma)) ** lattice.bounces
-    g_pow = g**lattice.bounces.astype(float)
-    # Each channel pairs its (k_co, k_cross) with (1 +/- lam2^B).
-    mix_co, mix_cross = (
-        0.5 * (k_co * (1.0 + lam2_pow) + k_cross * (1.0 - lam2_pow))
-        for k_co, k_cross in map(_mu_products, channel_pair(p))
-    )
+    g_pow = material.g ** lattice.bounces.astype(float)
+    # A channel's weight is half its two split parts; g^B stays in g_pow.
+    rho_pow = _rho_power(material.gamma, lattice.bounces)
+    splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(p))
+    mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
 
     run = functools.partial(
         _run_chunk, cfg=cfg, lattice=lattice, g_pow=g_pow, mix_co=mix_co, mix_cross=mix_cross,

@@ -11,7 +11,6 @@ densities are normalized to unit transmit power, i.e. have units 1/s.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -139,13 +138,27 @@ def bounce_matrix_power(material: WallMaterial, n: float) -> np.ndarray:
 
     Uses the eigenvalues {1, (1-gamma)/(1+gamma)} of the unit-gain mixing
     matrix, whose eigenvectors are the equal-split and anti-symmetric
-    polarization states.
+    polarization states; its entries are the two parts of `bounce_split`.
     """
     if n < 0:
         raise ValueError(f"matrix power exponent must be >= 0, got {n}")
-    g, gamma = material.g, material.gamma
-    lam2 = ((1.0 - gamma) / (1.0 + gamma)) ** n
-    return (g**n / 2.0) * np.array([[1.0 + lam2, 1.0 - lam2], [1.0 - lam2, 1.0 + lam2]])
+    same, other = bounce_split(1.0, 1.0, material.g**n / 2.0, _rho_power(material.gamma, n))
+    return np.array([[same, other], [other, same]])
+
+
+def _rho_power(gamma: float, n):
+    """rho^n for rho = (1-gamma)/(1+gamma), the unit-gain bounce matrix's second eigenvalue."""
+    return ((1.0 - gamma) / (1.0 + gamma)) ** n
+
+
+def bounce_split(k_co, k_cross, decay, mix):
+    """Co- and cross-polar weights decay * k_co * (1 + mix) and decay * k_cross * (1 - mix).
+
+    The bounce matrix to the power B splits so, with decay = g^B, mix = rho^B.
+    `pds_components` takes it at the mean count, `pds_components_exact` under
+    P(B = k | tau) and `mirror.simulate_pdp` at each image's exact count.
+    """
+    return decay * k_co * (1.0 + mix), decay * k_cross * (1.0 - mix)
 
 
 def reverberation_time(room: RoomGeometry, material: WallMaterial) -> float:
@@ -221,37 +234,36 @@ def _amplitude(p: PdsParams) -> float:
     return SPEED_OF_LIGHT * p.wavelength**2 / (2.0 * p.room.volume())
 
 
+def _gated(tau_arr: np.ndarray, co, cross):
+    """The (co, cross) pair, zero for tau < 0 and floats for a scalar tau."""
+    co, cross = (np.where(tau_arr >= 0, part, 0.0) for part in (co, cross))
+    return (float(co), float(cross)) if tau_arr.ndim == 0 else (co, cross)
+
+
 def pds_components(tau, p: PdsParams):
     """Co- and cross-polar parts of the power delay spectrum at delay tau.
 
     co(tau)    = c lam^2 e^(-tau/T) / 2V * k_co    * (1 + e^(-tau/T_p))
     cross(tau) = c lam^2 e^(-tau/T) / 2V * k_cross * (1 - e^(-tau/T_p))
 
-    for tau >= 0 and zero otherwise. The co part switches on abruptly while
-    the cross part builds up with the mixing time. Accepts scalar or array
-    tau; returns a (co, cross) pair of matching shape.
+    for tau >= 0 and zero otherwise: `bounce_split` at the mean bounce count
+    c S tau / 4V. The co part switches on abruptly while the cross part
+    builds up with the mixing time. Accepts scalar or array tau; returns a
+    (co, cross) pair of matching shape.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
     tt = np.maximum(tau_arr, 0.0)
     t_rev = reverberation_time(p.room, p.material)
     t_mix = mixing_time(p.room, p.material)
-    k_co, k_cross = _mu_products(p)
     decay = _amplitude(p) * np.exp(-tt / t_rev)
     mix = np.exp(-tt / t_mix) if math.isfinite(t_mix) else np.ones_like(tt)
-    active = tau_arr >= 0
-    co = np.where(active, decay * k_co * (1.0 + mix), 0.0)
-    cross = np.where(active, decay * k_cross * (1.0 - mix), 0.0)
-    if scalar:
-        return float(co), float(cross)
-    return co, cross
+    return _gated(tau_arr, *bounce_split(*_mu_products(p), decay, mix))
 
 
 _OCTANT_NODES = 64  # Gauss-Legendre nodes in cos(theta) and midpoints in phi
-_TAU_BLOCK = 64  # delays per block: (delays x 3 x directions) work arrays of ~6 MB
+_TAU_BLOCK = 8  # delays per block of bounce_count_table: (3 x delays x directions) arrays
 
 
-@functools.lru_cache(maxsize=1)
 def _octant_directions() -> tuple[np.ndarray, np.ndarray]:
     """|u| components, shape (3, n), and weights summing to one on the octant."""
     x, w = np.polynomial.legendre.leggauss(_OCTANT_NODES)
@@ -263,26 +275,44 @@ def _octant_directions() -> tuple[np.ndarray, np.ndarray]:
         np.outer(sin_t, np.sin(phi)).ravel(),
         np.repeat(cos_t, _OCTANT_NODES),
     ])
-    weights = np.repeat(0.5 * w / _OCTANT_NODES, _OCTANT_NODES)
-    u.flags.writeable = weights.flags.writeable = False  # shared by every caller via the cache
-    return u, weights
+    return u, np.repeat(0.5 * w / _OCTANT_NODES, _OCTANT_NODES)
 
 
-def _bounce_expectations(tau: np.ndarray, p: PdsParams, bases: tuple[float, ...]):
-    """E[x^B] over directions and uniform placement, for each x in `bases`."""
+def bounce_count_table(tau, room: RoomGeometry) -> np.ndarray:
+    """P(B = k | tau), shape (n_tau, K), for delays tau >= 0 under uniform placement.
+
+    - The image boxes tile space, so with the transmitter uniform in the
+      room the images are uniform with density 1/V around the receiver.
+    - An image at delay tau in direction u lies s_i = c tau |u_i| / L_i
+      room lengths away along axis i. A uniform receiver crosses
+      floor(s_i) walls with probability 1 - f_i and floor(s_i) + 1 walls
+      with probability f_i = frac(s_i), independently per axis, so
+      P(B = sum_i floor(s_i) + j | u) is the coefficient of x^j in
+      prod_i (1 - f_i + f_i x).
+    - By symmetry only the octant of directions is averaged: a 64-node
+      Gauss-Legendre rule in cos(theta) times a 64-point midpoint rule in phi.
+
+    The table depends on the room and the delays only; the column count K
+    covers the largest count reached. Rows sum to one up to rounding.
+    """
+    tau = np.asarray(tau, dtype=float).ravel()
     u, weights = _octant_directions()
-    dims = np.array([p.room.lx, p.room.ly, p.room.lz])
-    scale = SPEED_OF_LIGHT * u / dims[:, None]  # crossings per second of delay
-    out = [np.empty(tau.size) for _ in bases]
+    scale = SPEED_OF_LIGHT * u / np.array([room.lx, room.ly, room.lz])[:, None]
+    n_k = int(np.floor(tau.max(initial=0.0) * scale).sum(axis=0).max()) + 4
+    table = np.zeros((tau.size, n_k))
     for start in range(0, tau.size, _TAU_BLOCK):
-        s = tau[start : start + _TAU_BLOCK, None, None] * scale[None, :, :]
+        s = scale[:, None, :] * tau[None, start : start + _TAU_BLOCK, None]
         whole = np.floor(s)
         frac = s - whole
-        count = whole.sum(axis=1)
-        for acc, x in zip(out, bases):
-            expect = x**count * np.prod(1.0 - frac * (1.0 - x), axis=1)
-            acc[start : start + _TAU_BLOCK] = expect @ weights
-    return out
+        coef = [weights]  # weighted coefficients of prod_i (1 - f_i + f_i x), axis by axis
+        for f, q in zip(frac, 1.0 - frac):
+            coef = [coef[0] * q, *(a * f + b * q for a, b in zip(coef, coef[1:])), coef[-1] * f]
+        rows = s.shape[1] * n_k
+        idx = (whole.sum(axis=0).astype(np.intp) + np.arange(0, rows, n_k)[:, None]).ravel()
+        flat = table[start : start + _TAU_BLOCK].reshape(-1)
+        for j, c in enumerate(coef):  # count sum_i floor(s_i) + j lands j columns right
+            flat[j:] += np.bincount(idx, c.ravel(), minlength=rows)[: rows - j]
+    return table
 
 
 def pds_components_exact(tau, p: PdsParams):
@@ -293,44 +323,23 @@ def pds_components_exact(tau, p: PdsParams):
     image's integer bounce count B by its mean c S tau / 4V; because B
     varies across directions, E[g^B] > g^E[B] (Jensen), the
     variance-of-reflection-count effect behind Kuttruff's correction to
-    Eyring's decay. Here B keeps its distribution:
+    Eyring's decay. Here B keeps its distribution P(B = k | tau) from
+    `bounce_count_table`, and with lam the wavelength
 
-    - The image boxes tile space, so with the transmitter uniform in the
-      room the images are uniform with density 1/V around the receiver.
-    - An image at delay tau in direction u lies s_i = c tau |u_i| / L_i
-      room lengths away along axis i. A uniform receiver crosses
-      floor(s_i) walls with probability 1 - f_i and floor(s_i) + 1 walls
-      with probability f_i = frac(s_i), independently per axis. Hence
+        (co, cross)(tau) = c lam^2 / 2V * sum_k P(B = k | tau) w(k),
+        w(k) = bounce_split(k_co, k_cross, g^k, rho^k).
 
-          E[x^B | u] = prod_i x^floor(s_i) * (1 - f_i + f_i x).
-
-    - Averaging over the sphere, with rho = (1-gamma)/(1+gamma) the second
-      eigenvalue of the unit-gain bounce matrix and lam the wavelength,
-
-          co(tau)    = c lam^2 / 2V * k_co    * (E[g^B] + E[(g rho)^B])
-          cross(tau) = c lam^2 / 2V * k_cross * (E[g^B] - E[(g rho)^B])
-
-    By symmetry only the octant is integrated: a 64-node Gauss-Legendre
-    rule in cos(theta) times a 64-point midpoint rule in phi. The same
-    conventions as `pds_components` hold: zero for tau < 0, scalar or array
-    tau, a (co, cross) pair of matching shape. Both functions share the
-    mean count, so as g -> 1 the count variance stops mattering and they
+    The same conventions as `pds_components` hold: zero for tau < 0, scalar
+    or array tau, a (co, cross) pair of matching shape. Both functions share
+    the mean count, so as g -> 1 the count variance stops mattering and they
     agree, except that at fixed gamma the cross part's onset keeps the
     discrete first-bounce factor 1 - rho where the closed form has -ln(rho).
     """
     tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
-    tt = np.maximum(tau_arr, 0.0).ravel()
-    g, gamma = p.material.g, p.material.gamma
-    e_g, e_gl = _bounce_expectations(tt, p, (g, g * (1.0 - gamma) / (1.0 + gamma)))
-    k_co, k_cross = _mu_products(p)
-    amp = _amplitude(p)
-    active = tau_arr >= 0
-    co = np.where(active, amp * k_co * (e_g + e_gl).reshape(tau_arr.shape), 0.0)
-    cross = np.where(active, amp * k_cross * (e_g - e_gl).reshape(tau_arr.shape), 0.0)
-    if scalar:
-        return float(co), float(cross)
-    return co, cross
+    table = bounce_count_table(np.maximum(tau_arr, 0.0), p.room)
+    k = np.arange(table.shape[1])
+    split = bounce_split(*_mu_products(p), p.material.g**k, _rho_power(p.material.gamma, k))
+    return _gated(tau_arr, *(_amplitude(p) * (table @ w).reshape(tau_arr.shape) for w in split))
 
 
 def pds(tau, p: PdsParams):
@@ -433,8 +442,8 @@ def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:
 
         Q(d) = V / (2 pi c T d^2) * e^(d/(c T)) / (1 - r)
 
-    with it. Returns +inf when gamma = 0 or the cross product of the mean
-    gains vanishes.
+    with it. Returns +inf when gamma = 0, when the cross product of the mean
+    gains vanishes, and where e^(d/(c T)) overflows (LOS, d > ~709 c T).
     """
     k_co, k_cross = _mu_products(p)
     if k_cross == 0.0 or p.material.gamma == 0.0:
@@ -447,10 +456,9 @@ def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:
     bracket = (1.0 + r) / (1.0 - r)
     q = 0.0
     if cond.los:
-        q = (
-            p.room.volume()
-            / (2.0 * math.pi * c * t_rev * d**2)
-            * math.exp(d / (c * t_rev))
-            / (1.0 - r)
-        )
+        try:
+            growth = math.exp(d / (c * t_rev))
+        except OverflowError:
+            return math.inf
+        q = p.room.volume() / (2.0 * math.pi * c * t_rev * d**2) * growth / (1.0 - r)
     return (k_co / k_cross) * (q + bracket)

@@ -110,6 +110,13 @@ class TestEval:
         co, cross, total = (10 ** (float(row[i]) / 10) for i in (1, 2, 3))
         assert total == pytest.approx(co + cross, rel=1e-3)
 
+    def test_line_of_sight_beyond_the_exponent_range_reports_inf(self, tmp_path, capsys):
+        text = BASE.replace("antennas: {xi: 0.0}", "antennas: {xi: 0.1}")
+        text += "link: {distance_m: 2000.0, los: true}\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "curves.csv")]) == 0
+        assert "CPR(d=2000 m, LOS) = inf" in capsys.readouterr().out.splitlines()
+
 
 class TestSimulate:
     SIM = BASE + "simulation: {realizations: 1500, seed: 11, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
@@ -327,6 +334,15 @@ class TestCpr:
         assert main(["cpr", "--config", cfg, "--out", str(out)]) == 0
         _, cells = read_table(str(out))
         assert all(row[1] == "" and row[2] == "" for row in cells)
+
+    def test_line_of_sight_beyond_the_exponent_range_leaves_the_field_empty(self, tmp_path):
+        text = self.CFG.replace("[0.5, 1.35, 1.8, 3.3, 50.0, 500.0]", "[1.8, 2000.0]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "cpr.csv"
+        assert main(["cpr", "--config", cfg, "--out", str(out)]) == 0
+        _, cells = read_table(str(out))
+        assert [row[2] == "" for row in cells] == [False, True]
+        assert all(row[1] != "" for row in cells)
 
 
 class TestExitCodes:

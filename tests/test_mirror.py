@@ -12,6 +12,7 @@ from roompol import (
     RoomGeometry,
     SimConfig,
     WallMaterial,
+    bounce_count_table,
     enumerate_images,
     simulate_pdp,
 )
@@ -278,6 +279,73 @@ class TestKeepBound:
         d2_max = np.float64(mirror._max_kept_d2(max_delay))
         assert np.sqrt(d2_max) / SPEED_OF_LIGHT < max_delay
         assert not np.sqrt(np.nextafter(d2_max, np.inf)) / SPEED_OF_LIGHT < max_delay
+
+
+class TestCountTableAgainstLattice:
+    """The material-free check of P(B = k | tau) against the image lattice.
+
+    Arrivals of every kept image over uniform placements, weighted 1/d^2,
+    are binned by (1 ns delay bin, exact bounce count). The image density
+    is 1/V, so the weight makes arrivals uniform in delay, and each row
+    divided by its sum estimates the table averaged over the bin.
+    """
+
+    BIN = 1e-9
+    N_BATCHES, PER_BATCH = 32, 300
+    SUB = 8  # midpoints per bin for the table average
+
+    def histogram(self, room, max_delay, rng):
+        """(batch, bin, count) sums of 1/d^2 over the arrivals before max_delay."""
+        lattice = enumerate_images(room, SPEED_OF_LIGHT * max_delay)
+        n_bins, n_k = int(round(max_delay / self.BIN)), int(lattice.bounces.max()) + 1
+        dims = np.array(lattice.dims)
+        out = np.zeros((self.N_BATCHES, n_bins, n_k))
+        for batch in out:
+            tx, rx = _sample_uniform(rng, self.PER_BATCH, dims)
+            d2 = sum(
+                (off[idx] + sign[idx] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
+                for i, (off, sign, idx) in enumerate(
+                    zip(lattice.offsets, lattice.signs, lattice.cells)
+                )
+            )
+            tau = np.sqrt(d2) / SPEED_OF_LIGHT
+            keep = tau < max_delay
+            bins = (tau[keep] / self.BIN).astype(np.int64)
+            counts = np.broadcast_to(lattice.bounces, d2.shape)[keep]
+            flat = np.bincount(bins * n_k + counts, 1.0 / d2[keep], minlength=n_bins * n_k)
+            batch[:] = flat.reshape(n_bins, n_k)
+        return out
+
+    def test_rows_match_the_table_in_standard_errors(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(3):
+            room = RoomGeometry(*rng.uniform(1.0, 10.0, 3))
+            # a window out to a mean count of six bounces, c S tau / 4V = 6
+            six = 24.0 * room.volume() / (room.surface() * SPEED_OF_LIGHT)
+            max_delay = math.ceil(six / self.BIN) * self.BIN
+            hist = self.histogram(room, max_delay, rng)
+            n_bins = hist.shape[1]
+            mid = (np.arange(n_bins * self.SUB) + 0.5) * (self.BIN / self.SUB)
+            table = bounce_count_table(mid, room).reshape(n_bins, self.SUB, -1).mean(axis=1)
+            n_k = max(table.shape[1], hist.shape[2])
+            table = np.pad(table, ((0, 0), (0, n_k - table.shape[1])))
+            hist = np.pad(hist, ((0, 0), (0, 0), (0, n_k - hist.shape[2])))
+
+            # Compare only cells where each batch expects 20 or more arrivals,
+            # so the batch ratios are near normal; the choice uses the table,
+            # not the draws.
+            edges = np.arange(n_bins + 1) * self.BIN
+            per_bin = 4.0 * math.pi * SPEED_OF_LIGHT**3 * np.diff(edges**3) / (3.0 * room.volume())
+            use = self.PER_BATCH * per_bin[:, None] * table >= 20.0
+            rows = use.any(axis=1)
+            pooled = hist.sum(axis=0)[rows]
+            pooled /= pooled.sum(axis=1, keepdims=True)
+            per_batch = hist[:, rows] / hist[:, rows].sum(axis=2, keepdims=True)
+            se = per_batch.std(axis=0, ddof=1) / math.sqrt(self.N_BATCHES)
+            z = np.abs(pooled - table[rows])[use[rows]] / se[use[rows]]
+            assert z.size > 100
+            # with 32 batches a |z| of 5 has odds of a few in 1e5 per cell
+            assert z.max() < 5.0, (room, z.max())
 
 
 class TestSimConfig:

@@ -15,6 +15,7 @@ from roompol import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    bounce_count_table,
     bounce_matrix,
     bounce_matrix_power,
     channel_pair,
@@ -31,6 +32,7 @@ from roompol import (
     reverberation_time,
     wall_material_from_times,
 )
+from roompol.model import _octant_directions
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 MAT = WallMaterial(g=0.4, gamma=0.04)
@@ -373,6 +375,45 @@ class TestComponentsExact:
         )
 
 
+def bounce_expectation(tau, room, x):
+    """Reference E[x^B | tau]: prod_i x^floor(s_i) (1 - f_i + f_i x) per direction.
+
+    The form the exact model used before the count table, averaged with
+    the same octant rule.
+    """
+    u, weights = _octant_directions()
+    dims = np.array([room.lx, room.ly, room.lz])
+    s = np.asarray(tau)[:, None, None] * (SPEED_OF_LIGHT * u / dims[:, None])[None]
+    whole = np.floor(s)
+    frac = s - whole
+    return (x ** whole.sum(axis=1) * np.prod(1.0 - frac * (1.0 - x), axis=1)) @ weights
+
+
+class TestBounceCountTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sides=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+        tau=st.lists(st.floats(0.0, 100e-9), min_size=1, max_size=20),
+        x=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(sides=(1.0, 1.0, 1.0), tau=[100e-9, 0.0], x=1e-300)
+    def test_rows_are_count_distributions(self, sides, tau, x):
+        room = RoomGeometry(*sides)
+        table = bounce_count_table(np.array(tau), room)
+        assert table.shape[0] == len(tau)
+        assert np.all(table >= 0.0)
+        npt.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # atol only absorbs the subnormal range, where x^k keeps few bits
+        moments = table @ x ** np.arange(table.shape[1])
+        npt.assert_allclose(moments, bounce_expectation(tau, room, x), rtol=1e-12, atol=1e-300)
+
+    def test_zero_delay_row_is_the_unit_vector(self):
+        table = bounce_count_table(np.array([0.0, 20e-9, 0.0]), ROOM)
+        for row in table[[0, 2]]:
+            assert row[0] == pytest.approx(1.0, abs=1e-14)
+            npt.assert_array_equal(row[1:], 0.0)
+
+
 class TestCoCrossRatio:
     def test_large_delay_limit_is_antenna_prefactor(self):
         p = split_params(0.1)
@@ -542,6 +583,15 @@ class TestCprDistance:
         assert cpr_distance(p, cond) == pytest.approx(
             integrate_cpr_distance(p, cond), rel=5e-3
         )
+
+    def test_line_of_sight_beyond_the_exponent_range_is_infinite(self):
+        # e^(d/(cT)) overflows beyond d ~ 709 c T (about 1.7 km at g = 0.4)
+        p = split_params(0.1)
+        c_t = SPEED_OF_LIGHT * reverberation_time(p.room, p.material)
+        assert math.isfinite(cpr_distance(p, DistanceCondition(700.0 * c_t, los=True)))
+        assert cpr_distance(p, DistanceCondition(2000.0, los=True)) == math.inf
+        nlos = cpr_distance(p, DistanceCondition(2000.0, los=False))
+        assert nlos == pytest.approx(0.82 / 0.18, rel=1e-9)
 
     def test_infinite_without_leakage_or_cross_gain(self):
         cond = DistanceCondition(distance=1.8, los=True)
