@@ -7,9 +7,9 @@ measured co- and cross-polarized average PDPs jointly, in dB. The search
 runs in an unconstrained space: g, gamma, xi through a scaled logit over
 their bound intervals and the noise power through a log transform.
 
-This is the only module that uses scipy, and only inside `fit` and its
-parameter transforms: importing it, or the fit defaults the run config
-reads from it, loads no scipy module.
+The least-squares search is `_trf`, a numpy port of scipy's trust-region
+least squares. Only `method="simplex"` imports scipy, when it runs, so
+importing this module or running a default fit loads no scipy module.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import norm, svd
 
 from .measurement import ObservationParams, PdpTrace, PulseShape, observed_pds
 from .model import (
@@ -43,6 +44,7 @@ DEFAULT_MAX_ITERATIONS = 2000
 # step norm below 1e-12, within the evaluation budget.
 _FTOL = 1e-10
 _XTOL = 1e-12
+_GTOL = 1e-14
 
 
 @dataclass
@@ -188,18 +190,118 @@ def estimate_noise_floor(problem: FitProblem) -> float:
     return max(float(np.median(np.power(10.0, pooled / 10.0))), 1e-30)
 
 
-def _to_internal(params, bounds) -> np.ndarray:
-    from scipy.special import logit
+def _logit(x: float) -> float:
+    # scipy.special.logit's formula, which keeps its precision near 1/2
+    if 0.3 <= x <= 0.65:
+        return math.log1p(2.0 * (x - 0.5)) - math.log1p(-2.0 * (x - 0.5))
+    return math.log(x / (1.0 - x))
 
-    u = [logit((v - lo) / (hi - lo)) for v, (lo, hi) in zip(params[:3], bounds)]
+
+def _to_internal(params, bounds) -> np.ndarray:
+    u = [_logit((v - lo) / (hi - lo)) for v, (lo, hi) in zip(params[:3], bounds)]
     return np.array(u + [math.log(params[3])])
 
 
 def _from_internal(u, bounds) -> tuple[float, float, float, float]:
-    from scipy.special import expit
-
-    vals = [lo + (hi - lo) * expit(ui) for ui, (lo, hi) in zip(u[:3], bounds)]
+    # scipy.special.expit is 1 / (1 + exp(-u)); past exp's range it is 0 to 1e-308
+    expit = [1.0 / (1.0 + math.exp(min(-ui, 709.0))) for ui in u[:3]]
+    vals = [lo + (hi - lo) * e for e, (lo, hi) in zip(expit, bounds)]
     return (*vals, math.exp(u[3]))
+
+
+def _trust_region_step(m, uf, s, V, Delta, alpha):
+    """Step minimizing |J p + f| over |p| <= Delta from J's SVD (More 1977), and
+    the Levenberg-Marquardt parameter alpha that seeds the next call."""
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = s[-1] > np.finfo(float).eps * m * s[0]  # `fit` has m >= n residuals
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    alpha_lower = 0.0
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (Delta / norm(p)), alpha  # onto the boundary, never outside it
+
+
+def _trf(fun, jac, x0: np.ndarray, max_nfev: int) -> tuple[np.ndarray, int]:
+    """Unbounded trust-region least squares: the solution and scipy's status code
+    (0 budget spent; 1 gradient, 2 cost, 3 step, 4 cost and step tolerance met).
+
+    A port of the one path `scipy.optimize.least_squares(method="trf")` takes
+    here: `trf_no_bounds` with the exact solver, linear loss and unit x_scale,
+    and `solve_lsq_trust_region` (scipy 1.17.1, `optimize/_lsq/{trf,common}.py`,
+    BSD-3-Clause). As in scipy, a trial point equal to the last evaluated one
+    reuses its residuals.
+    """
+    last = (x0, fun(x0))
+    if not np.all(np.isfinite(last[1])):
+        raise ValueError("Residuals are not finite in the initial point.")
+    x, f, J = x0, last[1], jac(x0)
+    cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
+    Delta = norm(x0) or 1.0
+    nfev, alpha, status = 1, 0.0, None
+    while True:
+        if norm(g, ord=np.inf) < _GTOL:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            return x, status or 0
+        U, s, Vt = svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha = _trust_region_step(f.size, uf, s, Vt.T, Delta, alpha)
+            Js = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            if not np.array_equal(x_new, last[0]):
+                last = (x_new, fun(x_new))
+            f_new = last[1]
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # scipy's update_tr_radius and check_termination
+            ratio = (actual_reduction / predicted_reduction if predicted_reduction > 0
+                     else float(predicted_reduction == actual_reduction == 0))
+            Delta_new = (0.25 * step_norm if ratio < 0.25 else
+                         2.0 * Delta if ratio > 0.75 and step_norm > 0.95 * Delta else Delta)
+            ftol_met = actual_reduction < _FTOL * cost and ratio > 0.25
+            xtol_met = step_norm < _XTOL * (_XTOL + norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            g = J.T.dot(f)
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -211,8 +313,6 @@ def fit(problem: FitProblem) -> FitResult:
     within the iteration budget is reported through the `converged` flag;
     a result is returned either way.
     """
-    from scipy.optimize import least_squares, minimize
-
     mask = _window_mask(problem)
     n_window = int(mask.sum())
     if 2 * n_window < 4:
@@ -251,20 +351,12 @@ def fit(problem: FitProblem) -> FitResult:
         return np.stack(cols, axis=1)
 
     if problem.method == "least_squares":
-        opt = least_squares(
-            residual_u,
-            u0,
-            jac=jacobian_u,
-            method="trf",
-            ftol=_FTOL,
-            xtol=_XTOL,
-            gtol=1e-14,
-            max_nfev=problem.max_iterations,
-        )
-        u_best = opt.x
-        converged = opt.status > 0
+        u_best, status = _trf(residual_u, jacobian_u, u0, problem.max_iterations)
+        converged = status > 0
         iterations = len(history)
     else:
+        from scipy.optimize import minimize
+
         # the default simplex is scaled multiplicatively from x0, which
         # degenerates for coordinates whose logit is ~0; build an explicit
         # spread and restart once to escape simplex collapse

@@ -262,6 +262,7 @@ def pds_components(tau, p: PdsParams):
 
 _OCTANT_NODES = 64  # Gauss-Legendre nodes in cos(theta) and midpoints in phi
 _TAU_BLOCK = 8  # delays per block of bounce_count_table: (3 x delays x directions) arrays
+_MAX_TABLE_CELLS = 10**7  # cells bounce_count_table may build (80 MB of float64)
 
 
 def _octant_directions() -> tuple[np.ndarray, np.ndarray]:
@@ -293,12 +294,19 @@ def bounce_count_table(tau, room: RoomGeometry) -> np.ndarray:
       Gauss-Legendre rule in cos(theta) times a 64-point midpoint rule in phi.
 
     The table depends on the room and the delays only; the column count K
-    covers the largest count reached. Rows sum to one up to rounding.
+    covers the largest count reached. Rows sum to one up to rounding. Delays
+    must be finite, and the table may hold at most `_MAX_TABLE_CELLS` cells.
     """
     tau = np.asarray(tau, dtype=float).ravel()
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("delays must be finite")
     u, weights = _octant_directions()
     scale = SPEED_OF_LIGHT * u / np.array([room.lx, room.ly, room.lz])[:, None]
-    n_k = int(np.floor(tau.max(initial=0.0) * scale).sum(axis=0).max()) + 4
+    top = np.floor(tau.max(initial=0.0) * scale).sum(axis=0).max()
+    if tau.size * (top + 4.0) > _MAX_TABLE_CELLS:
+        raise ValueError(f"largest delay {tau.max():.4g} s: {tau.size} delays need "
+                         f"more than {_MAX_TABLE_CELLS} table cells; lower it")
+    n_k = int(top) + 4
     table = np.zeros((tau.size, n_k))
     for start in range(0, tau.size, _TAU_BLOCK):
         s = scale[:, None, :] * tau[None, start : start + _TAU_BLOCK, None]

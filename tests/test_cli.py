@@ -472,9 +472,15 @@ for argv in (["eval"], ["cpr"], ["simulate", "--workers", "1"]):
     assert roompol.cli.main([*argv, "--config", config, "--out", out]) == 0
     seen[argv[0]] = loaded("scipy")
 seen["process_pool"] = loaded("concurrent.futures.process")
-assert roompol.cli.main(["fit", "--config", config, "--co", co, "--cross", cross,
-                         "--out", out]) == 0
-seen["fit_loads_optimize"] = "scipy.optimize" in sys.modules
+fit = ["fit", "--config", config, "--co", co, "--cross", cross, "--out", out]
+assert roompol.cli.main(fit) == 0
+seen["fit"] = loaded("scipy")
+with open(config) as fh:
+    text = fh.read()
+with open(config, "w") as fh:
+    fh.write(text.replace("fit: {", "fit: {method: simplex, "))
+assert roompol.cli.main(fit) == 0
+seen["simplex_loads_optimize"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -500,5 +506,5 @@ print(json.dumps(seen))
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == {
             "import": [], "eval": [], "cpr": [], "simulate": [], "process_pool": [],
-            "fit_loads_optimize": True,
+            "fit": [], "simplex_loads_optimize": True,
         }

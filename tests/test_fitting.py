@@ -21,6 +21,7 @@ from roompol import (
     residual,
     reverberation_time,
 )
+from roompol import fitting
 from roompol.fitting import _from_internal, _to_internal
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
@@ -30,11 +31,12 @@ COND = DistanceCondition(distance=1.8, los=False)
 GRID = np.arange(0.0, 300e-9, 0.5e-9)
 
 
-def synth_traces(g, gamma, xi, noise, cond=COND, grid=GRID, db_noise_std=0.0, seed=0):
+def synth_traces(g, gamma, xi, noise, cond=COND, grid=GRID, db_noise_std=0.0, seed=0,
+                 pulse=PULSE):
     """Generate observed co/cross channel traces in dB at the given truth."""
     material = WallMaterial(g=g, gamma=gamma)
     mu = PolGain.from_split(xi)
-    obs = ObservationParams(pulse=PULSE, noise_power=noise)
+    obs = ObservationParams(pulse=pulse, noise_power=noise)
     traces = []
     rng = np.random.default_rng(seed)
     co = PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
@@ -49,12 +51,12 @@ def synth_traces(g, gamma, xi, noise, cond=COND, grid=GRID, db_noise_std=0.0, se
 
 
 def synth_problem(g=0.4, gamma=0.04, xi=0.02, noise=1e-11, cond=COND,
-                  db_noise_std=0.0, seed=0, **problem_kw):
+                  db_noise_std=0.0, seed=0, pulse=PULSE, **problem_kw):
     co, cross = synth_traces(g, gamma, xi, noise, cond=cond,
-                             db_noise_std=db_noise_std, seed=seed)
+                             db_noise_std=db_noise_std, seed=seed, pulse=pulse)
     problem_kw.setdefault("initial_guess", (0.5, 0.1, 0.05, 1e-10))
     return FitProblem(
-        room=ROOM, wavelength=LAM, cond=cond, pulse=PULSE,
+        room=ROOM, wavelength=LAM, cond=cond, pulse=pulse,
         co_trace=co, cross_trace=cross, **problem_kw,
     )
 
@@ -235,6 +237,114 @@ class TestTransforms:
         params = (0.37, 0.042, 0.019, 3.7e-12)
         back = _from_internal(_to_internal(params, bounds), bounds)
         npt.assert_allclose(back, params, rtol=1e-12)
+
+    # Over the unit interval both transforms reduce to scipy.special's logit
+    # and expit, which the fit used before it ran on numpy alone.
+    UNIT = ((0.0, 1.0),) * 3
+
+    @staticmethod
+    def interval_points():
+        """Random points, the formula's branch edges, and points within 1e-6 of 0 and 1."""
+        near = np.geomspace(1e-16, 1e-6, 50)
+        edges = [np.nextafter(e, d) for e in (0.3, 0.65) for d in (0.0, 1.0)]
+        return np.concatenate([
+            np.random.default_rng(0).uniform(0.0, 1.0, 3000), [0.3, 0.65], edges, near, 1.0 - near,
+        ])
+
+    def test_to_internal_is_scipy_logit_bit_for_bit(self):
+        from scipy.special import logit
+
+        x = self.interval_points()
+        x = np.concatenate([x, np.full(-x.size % 3, 0.5)])
+        ours = np.concatenate(
+            [_to_internal((*x[i : i + 3], 1.0), self.UNIT)[:3] for i in range(0, x.size, 3)]
+        )
+        npt.assert_array_equal(ours, logit(x))
+
+    def test_from_internal_is_scipy_expit_bit_for_bit(self):
+        from scipy.special import expit, logit
+
+        u = np.concatenate([
+            np.random.default_rng(1).uniform(-40.0, 40.0, 3000),
+            logit(self.interval_points()),
+        ])
+        u = np.concatenate([u, np.zeros(-u.size % 3)])
+        ours = np.concatenate(
+            [_from_internal((*u[i : i + 3], 0.0), self.UNIT)[:3] for i in range(0, u.size, 3)]
+        )
+        npt.assert_array_equal(ours, expit(u))
+
+
+class TestTrustRegionPort:
+    """`fit`'s least-squares search, `fitting._trf`, against the scipy routine it ports.
+
+    `scipy.optimize.least_squares(method="trf")` is swapped in for the port,
+    so both run on the same u-space residual, Jacobian and tolerances.
+    """
+
+    @staticmethod
+    def scipy_trf(fun, jac, x0, max_nfev):
+        from scipy.optimize import least_squares
+
+        opt = least_squares(fun, x0, jac=jac, method="trf", ftol=fitting._FTOL,
+                            xtol=fitting._XTOL, gtol=fitting._GTOL, max_nfev=max_nfev)
+        return opt.x, opt.status
+
+    def fit_with_scipy(self, problem, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "_trf", self.scipy_trf)
+            return fit(problem)
+
+    @staticmethod
+    def values(result):
+        return np.array([result.g, result.gamma, result.xi, result.noise_power])
+
+    @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
+    @pytest.mark.parametrize("los", [False, True])
+    def test_criterion_3_fits_match_scipy(self, monkeypatch, los, kind):
+        pulse = PulseShape(kind=kind, bandwidth=0.5e9)
+        cond = DistanceCondition(distance=1.8, los=los)
+        for noise in [{}] + [dict(db_noise_std=0.5, seed=s) for s in range(4)]:
+            problem = synth_problem(*TestFit.TRUTH, cond=cond, pulse=pulse, **noise)
+            ours = fit(problem)
+            theirs = self.fit_with_scipy(problem, monkeypatch)
+            # numpy's and scipy's LAPACK builds give SVDs a few ulps apart, so
+            # the two searches may stop a step apart where the optimum is flat
+            # (xi 4e-8 apart at equal objectives for NLOS boxcar seed 3)
+            assert ours.converged == theirs.converged
+            npt.assert_allclose(self.values(ours), self.values(theirs), rtol=1e-6)
+            assert ours.objective_final == pytest.approx(theirs.objective_final,
+                                                         rel=fitting._FTOL)
+
+    def test_non_finite_start_is_rejected(self):
+        with pytest.raises(ValueError, match="not finite in the initial point"):
+            fitting._trf(lambda x: np.array([np.inf, 0.0]), lambda x: np.eye(2), np.zeros(2), 9)
+
+    # Fits that reach the port's trust-region branches, not only Gauss-Newton
+    # steps: a bounded radius, a carried Levenberg-Marquardt parameter, and a
+    # trial point equal to the last evaluated one (scipy then reuses its
+    # residuals, so a second call would add one evaluation).
+    HARD_CASES = {
+        "repeated trial point": dict(g=0.4219363344299105, gamma=0.039765781465504746,
+                                     xi=0.020783521377368462),
+        "weak cross channel": dict(g=0.4, gamma=1e-5, xi=1e-6, noise=2e-3),
+        "xi bound stall": dict(g=0.3332, gamma=0.033, xi=0.1839),
+        "low gain": dict(g=0.3, gamma=0.01, xi=0.02),
+        "far start": dict(initial_guess=(0.1, 0.5, 0.3, 1e-8)),
+        "spent budget": dict(max_iterations=3),
+    }
+
+    @pytest.mark.parametrize("case", HARD_CASES)
+    def test_with_scipys_svd_the_port_takes_scipys_steps(self, monkeypatch, case):
+        import scipy.linalg
+
+        problem = synth_problem(**self.HARD_CASES[case])
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "svd", scipy.linalg.svd)
+            ours = fit(problem)
+        theirs = self.fit_with_scipy(problem, monkeypatch)
+        assert (ours.iterations, ours.converged) == (theirs.iterations, theirs.converged)
+        npt.assert_array_equal(self.values(ours), self.values(theirs))
 
 
 class TestPredict:

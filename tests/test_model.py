@@ -413,6 +413,17 @@ class TestBounceCountTable:
             assert row[0] == pytest.approx(1.0, abs=1e-14)
             npt.assert_array_equal(row[1:], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_delays_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bounce_count_table(np.array([0.0, bad]), ROOM)
+
+    def test_oversized_table_is_refused_before_it_is_built(self):
+        # one 1 ms delay needs about 160k bounce counts; 70 such rows pass 1e7 cells
+        with pytest.raises(ValueError, match=r"largest delay 0\.001 s: 70 delays need more"):
+            bounce_count_table(np.full(70, 1e-3), ROOM)
+        assert bounce_count_table(np.array([1e-3]), ROOM).shape[1] > 150_000
+
 
 class TestCoCrossRatio:
     def test_large_delay_limit_is_antenna_prefactor(self):
