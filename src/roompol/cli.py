@@ -34,6 +34,8 @@ def _fmt(value: float) -> str:
 
 def _params(cfg: RunConfig) -> model.PdsParams:
     """Model parameters of the configured (co-polarized) channel."""
+    cfg.require("material", "material")
+    cfg.require("mu_t", "antennas")
     return model.PdsParams(
         room=cfg.room,
         material=cfg.material,
@@ -56,21 +58,19 @@ def _print_derived(p: model.PdsParams) -> None:
         print(f"CPR = {_fmt(ratio)} ({_db_scalar(ratio):.4f} dB)")
 
 
-def _model_channel_curves(cfg: RunConfig, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    co, cross = (
-        model.pds_conditional(tau, p, cfg.cond)[0] for p in model.channel_pair(_params(cfg))
-    )
+def _model_channel_curves(
+    params: model.PdsParams, cond: model.DistanceCondition | None, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    co, cross = (model.pds_conditional(tau, p, cond) for p in model.channel_pair(params))
     return co, cross
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     cfg.require("grid", "grid")
-    cfg.require("material", "material")
-    cfg.require("mu_t", "antennas")
     tau = cfg.grid
     params = _params(cfg)
-    co, cross = _model_channel_curves(cfg, tau)
+    co, cross = _model_channel_curves(params, cfg.cond, tau)
     asym = model.pds_asymptote(tau, params)
     io.write_report_csv(
         args.out,
@@ -101,8 +101,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     cfg.require("sim", "simulation")
-    cfg.require("material", "material")
-    cfg.require("mu_t", "antennas")
+    params = _params(cfg)
     sim_cfg = cfg.sim
     if args.seed is not None:
         sim_cfg = dataclasses.replace(sim_cfg, rng_seed=args.seed)
@@ -110,7 +109,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg.room, cfg.material, cfg.mu_t, cfg.mu_r, cfg.wavelength, sim_cfg,
         workers=args.workers,
     )
-    co_model, cross_model = _model_channel_curves(cfg, co_sim.delays)
+    co_model, cross_model = _model_channel_curves(params, cfg.cond, co_sim.delays)
     io.write_report_csv(
         args.out,
         [
@@ -185,8 +184,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_cpr(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     cfg.require("cpr_distances", "cpr")
-    cfg.require("material", "material")
-    cfg.require("mu_t", "antennas")
     params = _params(cfg)
     distances = np.array(cfg.cpr_distances)
     nlos = np.array([

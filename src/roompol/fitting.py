@@ -28,10 +28,6 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     channel_pair,
-    cpr,
-    mixing_constant,
-    mixing_time,
-    reverberation_time,
 )
 
 # Fit defaults, shared by `FitProblem` and the run config's [fit] section.
@@ -49,7 +45,12 @@ _GTOL = 1e-14
 
 @dataclass
 class FitProblem:
-    """Joint co/cross fitting task. Traces must be dB on one shared grid."""
+    """Joint co/cross fitting task. Traces must be dB on one shared grid.
+
+    `max_iterations` caps the trial points of least squares (its Jacobian
+    evaluations not counted) and is `maxiter` for each of simplex's two
+    Nelder-Mead runs.
+    """
 
     room: RoomGeometry
     wavelength: float
@@ -100,16 +101,16 @@ class FitProblem:
 
 @dataclass
 class FitResult:
-    """Fitted parameters with derived model quantities and diagnostics."""
+    """Fitted parameters and diagnostics; `split_params` gives the model they define.
+
+    `iterations` counts residual evaluations, the 8 of every central-difference
+    Jacobian included.
+    """
 
     g: float
     gamma: float
     xi: float
     noise_power: float
-    t_rev: float
-    t_mix: float
-    mixing_constant: float
-    cpr: float
     residual_rms_db: float
     iterations: int
     converged: bool
@@ -246,9 +247,9 @@ def _trust_region_step(m, uf, s, V, Delta, alpha):
     return p * (Delta / norm(p)), alpha  # onto the boundary, never outside it
 
 
-def _trf(fun, jac, x0: np.ndarray, max_nfev: int) -> tuple[np.ndarray, int]:
-    """Unbounded trust-region least squares: the solution and scipy's status code
-    (0 budget spent; 1 gradient, 2 cost, 3 step, 4 cost and step tolerance met).
+def _trf(fun, jac, x0: np.ndarray, max_nfev: int) -> tuple[np.ndarray, bool]:
+    """Unbounded trust-region least squares: the solution and whether a gradient,
+    cost or step tolerance was met before the evaluation budget ran out.
 
     A port of the one path `scipy.optimize.least_squares(method="trf")` takes
     here: `trf_no_bounds` with the exact solver, linear loss and unit x_scale,
@@ -262,12 +263,11 @@ def _trf(fun, jac, x0: np.ndarray, max_nfev: int) -> tuple[np.ndarray, int]:
     x, f, J = x0, last[1], jac(x0)
     cost, g = 0.5 * np.dot(f, f), J.T.dot(f)
     Delta = norm(x0) or 1.0
-    nfev, alpha, status = 1, 0.0, None
+    nfev, alpha, converged = 1, 0.0, False
     while True:
-        if norm(g, ord=np.inf) < _GTOL:
-            status = 1
-        if status is not None or nfev == max_nfev:
-            return x, status or 0
+        converged = converged or norm(g, ord=np.inf) < _GTOL
+        if converged or nfev == max_nfev:
+            return x, converged
         U, s, Vt = svd(J, full_matrices=False)
         uf = U.T.dot(f)
         actual_reduction = -1
@@ -292,9 +292,8 @@ def _trf(fun, jac, x0: np.ndarray, max_nfev: int) -> tuple[np.ndarray, int]:
             Delta_new = (0.25 * step_norm if ratio < 0.25 else
                          2.0 * Delta if ratio > 0.75 and step_norm > 0.95 * Delta else Delta)
             ftol_met = actual_reduction < _FTOL * cost and ratio > 0.25
-            xtol_met = step_norm < _XTOL * (_XTOL + norm(x))
-            if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+            if ftol_met or step_norm < _XTOL * (_XTOL + norm(x)):
+                converged = True
                 break
             alpha *= Delta / Delta_new
             Delta = Delta_new
@@ -351,9 +350,7 @@ def fit(problem: FitProblem) -> FitResult:
         return np.stack(cols, axis=1)
 
     if problem.method == "least_squares":
-        u_best, status = _trf(residual_u, jacobian_u, u0, problem.max_iterations)
-        converged = status > 0
-        iterations = len(history)
+        u_best, converged = _trf(residual_u, jacobian_u, u0, problem.max_iterations)
     else:
         from scipy.optimize import minimize
 
@@ -381,7 +378,6 @@ def fit(problem: FitProblem) -> FitResult:
             x = opt.x
             converged = bool(opt.success)
         u_best = x
-        iterations = len(history)
 
     g, gamma, xi, noise = _from_internal(u_best, problem.bounds)
     # both channel traces are exactly invariant under xi -> 1 - xi, so the
@@ -393,8 +389,6 @@ def fit(problem: FitProblem) -> FitResult:
             xi = folded
     final_res = residual((g, gamma, xi, noise), problem)
     objective_final = float(np.dot(final_res, final_res))
-    params = split_params(problem, g, gamma, xi)
-    material = params.material
 
     floor_db = 10.0 * math.log10(estimate_noise_floor(problem))
     cross_peak = float(np.max(problem.cross_trace.values[mask]))
@@ -405,12 +399,8 @@ def fit(problem: FitProblem) -> FitResult:
         gamma=gamma,
         xi=xi,
         noise_power=noise,
-        t_rev=reverberation_time(problem.room, material),
-        t_mix=mixing_time(problem.room, material),
-        mixing_constant=mixing_constant(material),
-        cpr=cpr(params),
         residual_rms_db=float(np.sqrt(np.mean(final_res**2))),
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         weakly_identified=weakly_identified,
         objective_initial=history[0] if history else math.nan,

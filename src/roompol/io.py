@@ -68,20 +68,22 @@ def read_trace_csv(path: str) -> PdpTrace:
 
     Any other non-numeric or non-finite field (`nan`, `inf`, `-inf`) is
     rejected with the row named: the empty field is the one spelling of -inf.
+    The header's power column sets the scale; a `# scale:` comment that
+    disagrees with it is rejected with its row named.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     header = None
     delays: list[float] = []
     values: list[float] = []
-    scale = None
+    scale_notes: list[tuple[int, str]] = []
     for row_no, line in enumerate(raw, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
             if stripped.lower().startswith("# scale:"):
-                scale = stripped.split(":", 1)[1].strip()
+                scale_notes.append((row_no, stripped.split(":", 1)[1].strip()))
             continue
         if header is None:
             header = [f.strip() for f in stripped.split(",")]
@@ -89,8 +91,6 @@ def read_trace_csv(path: str) -> PdpTrace:
                 "power_db", "power_linear"
             ):
                 raise TraceFormatError(f"{path}: row {row_no}: unexpected header {stripped!r}")
-            if scale is None:
-                scale = "db" if header[1] == "power_db" else "linear"
             continue
         fields = stripped.split(",")
         if len(fields) != 2:
@@ -106,6 +106,12 @@ def read_trace_csv(path: str) -> PdpTrace:
         values.append(value)
     if header is None or not delays:
         raise TraceFormatError(f"{path}: no trace rows found")
+    scale = "db" if header[1] == "power_db" else "linear"
+    for row_no, note in scale_notes:
+        if note != scale:
+            raise TraceFormatError(
+                f"{path}: row {row_no}: '# scale: {note}' disagrees with the {header[1]} header"
+            )
     try:
         return PdpTrace(delays=np.array(delays), values=np.array(values), scale=scale)
     except ValueError as exc:

@@ -176,7 +176,7 @@ def observed_pds(
             f"grid spacing {step:.3e} s too coarse for bandwidth "
             f"{obs.pulse.bandwidth:.3e} Hz; need spacing <= 1/(4 bandwidth)"
         )
-    values = convolve_density(grid, lambda t: pds_conditional(t, p, cond)[0], obs.pulse)
+    values = convolve_density(grid, lambda t: pds_conditional(t, p, cond), obs.pulse)
     spike = direct_path(p, cond)
     if spike is not None:
         values = values + _spike_bump(grid, spike.delay, spike.weight, obs.pulse)

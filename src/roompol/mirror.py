@@ -53,6 +53,9 @@ _PLACEMENTS = ("uniform", "fixed")
 
 _REACH_SLACK = 1e-9  # relative; see enumerate_images
 _MAX_CUBE_CELLS = 10**7  # image cube cells enumerate_images may build (80 MB of float64)
+# Placement acceptance floor of a fixed-distance chunk; see _sample_fixed.
+_MIN_ACCEPTANCE = 2e-5
+_PLACEMENT_SLACK = 64  # placements' worth of draws granted up front
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,8 @@ class SimConfig:
                 raise ValueError("fixed placement requires a positive distance")
         elif self.distance is not None:
             raise ValueError("distance is only meaningful for fixed placement")
+        elif not self.los:
+            raise ValueError("los=False is only meaningful for fixed placement")
         n_bins = self.max_delay / self.bin_width
         if abs(n_bins - round(n_bins)) > 1e-6:
             raise ValueError("max_delay must be an integer multiple of bin_width")
@@ -210,13 +215,25 @@ def _sample_uniform(rng: np.random.Generator, n: int, dims: np.ndarray):
 
 def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: float):
     """Receiver uniform in the box, transmitter uniform on the sphere of
-    radius `distance` around it, rejected until inside the box."""
+    radius `distance` around it, rejected until inside the box.
+
+    The sampler raises once it has drawn min(n, placed + _PLACEMENT_SLACK) /
+    _MIN_ACCEPTANCE transmitters: each placement earns 1 / _MIN_ACCEPTANCE
+    more draws, so a distance whose acceptance lies well below the floor
+    fails within a few million draws, whatever n is.
+    """
     tx_out = np.empty((n, 3))
     rx_out = np.empty((n, 3))
     filled = 0
-    stalled = 0
+    drawn = 0
     while filled < n:
+        if drawn * _MIN_ACCEPTANCE >= min(n, filled + _PLACEMENT_SLACK):
+            raise ValueError(
+                f"could not place transmitter at distance {distance} m inside the room: "
+                f"fewer than {_MIN_ACCEPTANCE:g} of the placements drawn fit"
+            )
         m = max(4 * (n - filled), 128)
+        drawn += m
         rx = rng.uniform(0.0, 1.0, (m, 3)) * dims
         vec = rng.normal(size=(m, 3))
         norm = np.linalg.norm(vec, axis=1)
@@ -224,14 +241,6 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
         tx = rx + distance * vec / np.maximum(norm, 1e-300)[:, None]
         inside = good & np.all((tx > 0.0) & (tx < dims), axis=1)
         take = min(int(inside.sum()), n - filled)
-        if take == 0:
-            stalled += 1
-            if stalled > 1000:
-                raise ValueError(
-                    f"could not place transmitter at distance {distance} m inside the room"
-                )
-            continue
-        stalled = 0
         idx = np.flatnonzero(inside)[:take]
         tx_out[filled : filled + take] = tx[idx]
         rx_out[filled : filled + take] = rx[idx]

@@ -417,24 +417,18 @@ def direct_path(p: PdsParams, cond: DistanceCondition | None) -> DirectPath | No
 
 
 def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
-    """Power delay spectrum conditioned on the transmitter-receiver distance.
+    """Diffuse power delay spectrum conditioned on the transmitter-receiver distance.
 
-    The diffuse density is `pds` gated to delays strictly beyond the direct
-    delay d/c. Under line of sight the direct path additionally carries the
-    Dirac spike of `direct_path`, returned as a separate `DirectPath`
-    descriptor (None in non line of sight); it is never added to the
-    sampled density. With `cond` None the distance is unknown: the density
-    is `pds` itself and there is no spike.
+    The density is `pds` gated to delays strictly beyond the direct delay
+    d/c. Under line of sight the direct path also carries the Dirac spike
+    of `direct_path`, which is never part of the sampled density. With
+    `cond` None the distance is unknown and the density is `pds` itself.
     """
     if cond is None:
-        return pds(tau, p), None
+        return pds(tau, p)
     tau_arr = np.asarray(tau, dtype=float)
-    scalar = tau_arr.ndim == 0
     diffuse = np.where(tau_arr > cond.distance / SPEED_OF_LIGHT, pds(tau_arr, p), 0.0)
-    spike = direct_path(p, cond)
-    if scalar:
-        return float(diffuse), spike
-    return diffuse, spike
+    return float(diffuse) if tau_arr.ndim == 0 else diffuse
 
 
 def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:

@@ -25,6 +25,7 @@ from roompol import (
     cpr,
     cpr_distance,
     db_linear_convert,
+    direct_path,
     fit,
     mixing_constant,
     mixing_time,
@@ -208,8 +209,8 @@ def test_criterion_4_cpr_against_quadrature():
             cond = DistanceCondition(distance=d, los=los)
             t0 = d / SPEED_OF_LIGHT
             tau = t0 + np.arange(0.0, 30.0 * t_rev, min(t_rev, t_mix) / 200.0)
-            diffuse, spike = pds_conditional(tau, p, cond)
-            gate = diffuse > 0
+            gate = pds_conditional(tau, p, cond) > 0
+            spike = direct_path(p, cond)
             co, cross = pds_components(tau, p)
             num = trapezoid(co * gate, tau) + (spike.weight if spike else 0.0)
             oracle = num / trapezoid(cross * gate, tau)

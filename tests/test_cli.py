@@ -456,6 +456,22 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match=rf"row {len(lines) - 1}: bad {field} value"):
             read_trace_csv(str(path))
 
+    @pytest.mark.parametrize("scale, note", [("db", "linear"), ("linear", "db")])
+    def test_scale_comment_disagreeing_with_the_header_is_rejected(self, tmp_path, scale, note):
+        trace = PdpTrace(delays=np.arange(3) * 1e-9, values=np.array([1.0, 2.0, 3.0]),
+                         scale=scale)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        assert read_trace_csv(str(path)).scale == scale
+        text = path.read_text()
+        path.write_text(text.replace(f"# scale: {scale}\n", f"# scale: {note}\n"))
+        with pytest.raises(TraceFormatError, match=f"row 2: '# scale: {note}' disagrees"):
+            read_trace_csv(str(path))
+        # below the header too
+        path.write_text(text + f"# scale: {note}\n")
+        with pytest.raises(TraceFormatError, match=f"row 8: '# scale: {note}' disagrees"):
+            read_trace_csv(str(path))
+
 
 class TestImportGraph:
     # Runs in a fresh interpreter, since this one has loaded scipy already.

@@ -192,14 +192,6 @@ class TestFit:
         assert result.objective_final <= result.objective_initial
         assert result.objective_final <= np.min(result.objective_history) * (1 + 1e-9) + 1e-30
 
-    def test_derived_values_are_recomputable(self):
-        result = fit(synth_problem(*self.TRUTH))
-        material = WallMaterial(g=result.g, gamma=result.gamma)
-        assert result.t_rev == reverberation_time(ROOM, material)
-        assert result.mixing_constant == pytest.approx(
-            result.t_mix / result.t_rev, rel=1e-13
-        )
-
     def test_iteration_budget_reports_non_convergence(self):
         result = fit(synth_problem(*self.TRUTH, max_iterations=3))
         assert not result.converged
@@ -288,7 +280,7 @@ class TestTrustRegionPort:
 
         opt = least_squares(fun, x0, jac=jac, method="trf", ftol=fitting._FTOL,
                             xtol=fitting._XTOL, gtol=fitting._GTOL, max_nfev=max_nfev)
-        return opt.x, opt.status
+        return opt.x, opt.status > 0
 
     def fit_with_scipy(self, problem, monkeypatch):
         with monkeypatch.context() as m:

@@ -17,6 +17,7 @@ from roompol import (
     WallMaterial,
     average_pdp,
     db_linear_convert,
+    direct_path,
     observed_pds,
     pds,
     pds_conditional,
@@ -76,7 +77,7 @@ class TestObservedPds:
         cond = DistanceCondition(distance=1.8, los=False)
         p = make_params()
         trace = observed_pds(grid, p, cond, obs)
-        diffuse, _ = pds_conditional(grid, p, cond)
+        diffuse = pds_conditional(grid, p, cond)
         onset = 1.8 / SPEED_OF_LIGHT
         beyond = grid > onset + 0.5e-9
         npt.assert_allclose(trace.values[beyond], diffuse[beyond], rtol=2e-4)
@@ -99,9 +100,9 @@ class TestObservedPds:
         noise = 1e-9
         obs = ObservationParams(pulse=PulseShape("boxcar", 4e9), noise_power=noise)
         trace = observed_pds(grid, p, cond, obs)
-        diffuse, spike = pds_conditional(grid, p, cond)
+        diffuse = pds_conditional(grid, p, cond)
         lhs = np.sum(trace.values - noise) * step
-        rhs = np.sum(diffuse) * step + spike.weight
+        rhs = np.sum(diffuse) * step + direct_path(p, cond).weight
         assert lhs == pytest.approx(rhs, rel=1e-2)
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
@@ -129,10 +130,9 @@ class TestObservedPds:
             cond = DistanceCondition(distance=d, los=True)
             with_spike = observed_pds(grid, p, cond, obs).values
             diffuse_only = convolve_density(
-                grid, lambda t: pds_conditional(t, p, cond)[0], obs.pulse
+                grid, lambda t: pds_conditional(t, p, cond), obs.pulse
             )
-            _, spike = pds_conditional(grid[:2], p, cond)
-            bump.append((with_spike - diffuse_only) / spike.weight)
+            bump.append((with_spike - diffuse_only) / direct_path(p, cond).weight)
         # compare within the pulse support; outside it the bump is buried in
         # the float cancellation noise of the much larger diffuse term
         support = np.abs(grid - d1 / c) <= obs.pulse.half_support()

@@ -369,11 +369,12 @@ class TestSimConfig:
             SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10e-9, placement="grid")
         with pytest.raises(ValueError, match="positive distance"):
             SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10e-9, placement="fixed")
-        with pytest.raises(ValueError, match="only meaningful"):
-            SimConfig(
-                n_realizations=10, bin_width=1e-9, max_delay=10e-9,
-                placement="uniform", distance=1.0,
-            )
+        for extra in (dict(distance=1.0), dict(los=False)):
+            with pytest.raises(ValueError, match="only meaningful"):
+                SimConfig(
+                    n_realizations=10, bin_width=1e-9, max_delay=10e-9,
+                    placement="uniform", **extra,
+                )
 
     def test_unreachable_fixed_distance_is_rejected(self):
         cfg = SimConfig(
@@ -391,6 +392,27 @@ class TestSimConfig:
         )
         with pytest.raises(ValueError, match="could not place"):
             simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+
+    def test_placement_below_the_acceptance_floor_fails_fast(self):
+        # 5.5 m fits about 6.6e-7 of the draws in this room, far below the
+        # floor; a full chunk must give up within a few million draws, not
+        # keep going because the odd placement succeeds
+        rng = np.random.default_rng(0)
+        drawn = 0
+
+        class CountingRng:
+            def uniform(self, low, high, size):
+                nonlocal drawn
+                drawn += size[0]
+                return rng.uniform(low, high, size)
+
+            def normal(self, size):
+                return rng.normal(size=size)
+
+        dims = np.array([ROOM.lx, ROOM.ly, ROOM.lz])
+        with pytest.raises(ValueError, match="could not place.*fewer than 2e-05"):
+            _sample_fixed(CountingRng(), _CHUNK, dims, 5.5)
+        assert drawn < 5e6
 
     @pytest.mark.parametrize("wavelength", [0.0, -5e-3])
     def test_rejects_nonpositive_wavelength(self, wavelength):

@@ -22,6 +22,7 @@ from roompol import (
     co_cross_ratio,
     cpr,
     cpr_distance,
+    direct_path,
     mixing_constant,
     mixing_time,
     pds,
@@ -68,10 +69,10 @@ def integrate_cpr_distance(p, cond):
     t0 = cond.distance / SPEED_OF_LIGHT
     step = min(t_rev, t_mix) / 200.0
     tau = t0 + np.arange(0.0, 30.0 * t_rev, step)
-    diffuse, spike = pds_conditional(tau, p, cond)
-    gate = diffuse > 0
+    gate = pds_conditional(tau, p, cond) > 0
     co_all, cross_all = pds_components(tau, p)
     num = trapezoid(co_all * gate, tau)
+    spike = direct_path(p, cond)
     if spike is not None:
         num += spike.weight
     return num / trapezoid(cross_all * gate, tau)
@@ -523,20 +524,18 @@ class TestConditional:
         cond = DistanceCondition(distance=1.8, los=False)
         direct = 1.8 / SPEED_OF_LIGHT
         tau = np.array([0.0, 0.5 * direct, direct])
-        diffuse, spike = pds_conditional(tau, p, cond)
-        npt.assert_array_equal(diffuse, np.zeros(3))
-        assert spike is None
+        npt.assert_array_equal(pds_conditional(tau, p, cond), np.zeros(3))
+        assert direct_path(p, cond) is None
 
     def test_nlos_matches_unconditioned_beyond_direct_delay(self):
         p = split_params(0.1)
         cond = DistanceCondition(distance=1.8, los=False)
         tau = np.linspace(10e-9, 60e-9, 100)
-        diffuse, _ = pds_conditional(tau, p, cond)
-        npt.assert_array_equal(diffuse, pds(tau, p))
+        npt.assert_array_equal(pds_conditional(tau, p, cond), pds(tau, p))
 
     def test_los_spike_descriptor(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0))
-        _, spike = pds_conditional(0.0, p, self.COND)
+        spike = direct_path(p, self.COND)
         assert spike.delay == pytest.approx(1.8 / 2.99792458e8, rel=1e-12)
         assert spike.delay == pytest.approx(6.005e-9, rel=1e-3)
         assert spike.weight == pytest.approx(LAM**2 / (4 * math.pi * 1.8**2), rel=1e-12)
@@ -545,16 +544,13 @@ class TestConditional:
     def test_without_condition_is_the_unconditioned_spectrum(self):
         p = split_params(0.1)
         tau = np.linspace(-5e-9, 60e-9, 131)
-        diffuse, spike = pds_conditional(tau, p, None)
-        npt.assert_array_equal(diffuse, pds(tau, p))
-        assert spike is None
-        value, spike = pds_conditional(3e-9, p, None)
-        assert value == pds(3e-9, p)
-        assert spike is None
+        npt.assert_array_equal(pds_conditional(tau, p, None), pds(tau, p))
+        assert pds_conditional(3e-9, p, None) == pds(3e-9, p)
+        assert direct_path(p, None) is None
 
     def test_spike_scales_with_co_product(self):
         p = split_params(0.1)
-        _, spike = pds_conditional(0.0, p, self.COND)
+        spike = direct_path(p, self.COND)
         assert spike.weight == pytest.approx(
             0.82 * LAM**2 / (4 * math.pi * 1.8**2), rel=1e-12
         )
