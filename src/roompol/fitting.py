@@ -181,14 +181,19 @@ def estimate_noise_floor(problem: FitProblem) -> float:
     """Median linear power over the last 10% of both measured traces.
 
     Clamped away from zero so the log-space start stays finite even for
-    noise-free synthetic inputs.
+    noise-free synthetic inputs. The median is np.median's, taken by
+    partition: np.median's NaN check imports numpy.ma, about 15 ms in a fresh
+    process.
     """
     n = problem.co_trace.delays.size
     tail = max(1, int(round(0.1 * n)))
     pooled = np.concatenate(
         [problem.co_trace.values[-tail:], problem.cross_trace.values[-tail:]]
     )
-    return max(float(np.median(np.power(10.0, pooled / 10.0))), 1e-30)
+    power = np.power(10.0, pooled / 10.0)
+    mid = power.size // 2  # pooled holds 2 * tail values, so the size is even
+    lo, hi = np.partition(power, (mid - 1, mid))[mid - 1 : mid + 1]
+    return max(float((lo + hi) / 2), 1e-30)
 
 
 def _logit(x: float) -> float:

@@ -17,10 +17,14 @@ box lies within reach = c * max_delay of the room are kept (Allen & Berkley,
 JASA 65(4), 1979). The distance from that box to the room is a lower bound
 on every image-to-receiver distance, so a dropped cell could only produce
 arrivals at or beyond max_delay, which the simulator discards anyway.
-Each chunk forms its arrivals in row tiles of bounded size and bins them in
-the untiled order, so memory stays flat in max_delay and the bins unchanged.
-Within a tile, pairs at or beyond max_delay are dropped on their squared
-distance, so the square root and the delay are computed for the survivors only.
+Each chunk forms its arrivals in C-ordered tiles of a few realizations by
+all cells, of bounded size, and bins them in the untiled order, so memory
+stays flat in max_delay and the bins unchanged. Cells sharing an (x, y)
+column of the lattice share their x + y term, so a tile sums it once per
+column and adds z per cell. Pairs at or beyond max_delay are dropped on
+their squared distance in one compare, and the one arrival at distance
+zero (a transmitter exactly on the receiver) among the survivors; the square
+root, the delay and the power are computed for the survivors only.
 """
 
 from __future__ import annotations
@@ -265,22 +269,27 @@ def _max_kept_d2(max_delay: float) -> float:
 
 
 def _run_chunk(
-    seed_seq, n, *, cfg, lattice, g_pow, mix_co, mix_cross, wavelength, d2_max, n_bins
+    seed_seq, n, *, cfg, lattice, columns, weights, wavelength, d2_max, n_bins
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate binned co/cross powers for one chunk of n realizations.
 
-    The (realization, cell) pairs are formed in row tiles of about `_TILE`
-    pairs, so their arrays take O(max(_TILE, n_cells)) memory, whatever
-    `_CHUNK` is (only the small per-axis terms `sq` grow with it). Only
-    arrivals before max_delay are gathered, in row-major order, and
+    The (realization, cell) pairs are formed in C-ordered tiles of `rows`
+    realizations by all cells, about `_TILE` pairs, so their arrays take
+    O(max(_TILE, n_cells)) memory, whatever `_CHUNK` is (only the small
+    per-axis terms `sq` grow with it). `columns` = (col_x, col_y, col_size)
+    lists the distinct (x, y) entry pairs of the lattice, each a run of
+    col_size consecutive cells: a tile sums x + y once per column, repeats
+    it over the column's cells and adds z, so every d2 is still (x + y) + z.
+    Only arrivals before max_delay are gathered, in row-major order, and
     `np.add.at` adds each into its bin in that order, as one `np.bincount`
     over the chunk would: every bin sum is bit-identical to the untiled one.
 
-    A tile keeps the pairs with 0 < d2 <= d2_max (`_max_kept_d2`), which are
-    exactly the arrivals before max_delay, and takes sqrt and delay of those
-    only. Weights are gathered by flat index from per-cell arrays tiled once
-    per chunk (no modulo per arrival), after the re-wrap below, so the
-    copies keep numpy's own float64 dtype object as well.
+    One compare keeps the pairs with d2 <= d2_max (`_max_kept_d2`); of those,
+    only a transmitter exactly on the receiver has d2 == 0, and it is dropped
+    among the kept arrivals before any division. Sqrt, delay and power are
+    then formed in place for the survivors only. `weights` holds g^B, the co
+    and the cross mix of each cell, tiled to `rows` rows by `simulate_pdp`, so
+    one gather by flat index fetches all three (no modulo per arrival).
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
@@ -288,31 +297,48 @@ def _run_chunk(
         tx, rx = _sample_uniform(rng, n, dims)
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
-    # An array unpickled in a pool worker has its own float64 dtype object,
-    # which products inherit and which sends `np.add.at` off its fast path.
-    g_pow, mix_co, mix_cross = (np.asarray(a, dtype=float) for a in (g_pow, mix_co, mix_cross))
+    # An array unpickled in a pool worker has its own float64 dtype object.
+    # A result takes the dtype of its first operand, so every array the
+    # arrivals are computed from is re-wrapped: `np.add.at` leaves its fast
+    # path for such a dtype.
+    weights = np.asarray(weights, dtype=float)
+    offsets, signs = (
+        [np.asarray(a, dtype=float) for a in arrays] for arrays in (lattice.offsets, lattice.signs)
+    )
 
-    sq = [
+    sq_x, sq_y, sq_z = (
         (off[None, :] + sign[None, :] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
-        for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
-    ]
-    ix, iy, iz = lattice.cells
-    rows = max(1, _TILE // ix.size)
-    g_rows, co_rows, cross_rows = (np.tile(a, rows) for a in (g_pow, mix_co, mix_cross))
+        for i, (off, sign) in enumerate(zip(offsets, signs))
+    )
+    col_x, col_y, col_size = columns
+    iz = lattice.cells[2]
+    rows = weights.shape[1] // iz.size
     acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
         # same terms in the same order as over the full cube.
-        d2 = sq[0][r : r + rows, ix]
-        d2 += sq[1][r : r + rows, iy]
-        d2 += sq[2][r : r + rows, iz]
-        flat = np.flatnonzero((d2 > 0.0) & (d2 <= d2_max))
-        d2 = d2.ravel()[flat]
-        tau = np.sqrt(d2) / SPEED_OF_LIGHT
-        attn = g_rows[flat] * (wavelength * wavelength / (4.0 * np.pi * d2))
-        idx = (tau / cfg.bin_width).astype(np.int64)
-        np.add.at(acc_co, idx, attn * co_rows[flat])
-        np.add.at(acc_cross, idx, attn * cross_rows[flat])
+        xy = sq_x[r : r + rows].take(col_x, axis=1)
+        xy += sq_y[r : r + rows].take(col_y, axis=1)
+        d2 = np.repeat(xy, col_size, axis=1)
+        d2 += sq_z[r : r + rows].take(iz, axis=1)
+        flat = np.flatnonzero(d2 <= d2_max)
+        d2 = d2.ravel().take(flat)
+        if not d2.all():  # a transmitter exactly on the receiver
+            keep = d2 > 0.0
+            flat, d2 = flat[keep], d2[keep]
+        tau = np.sqrt(d2)
+        tau /= SPEED_OF_LIGHT
+        tau /= cfg.bin_width
+        idx = tau.astype(np.int64)
+        # d2 becomes the arrival power g^B * lambda^2 / (4 pi d2), in place
+        d2 *= 4.0 * np.pi
+        np.divide(wavelength * wavelength, d2, out=d2)
+        g_pow, co, cross = weights.take(flat, axis=1)
+        d2 *= g_pow
+        co *= d2
+        np.add.at(acc_co, idx, co)
+        d2 *= cross
+        np.add.at(acc_cross, idx, d2)
     return acc_co, acc_cross
 
 
@@ -366,9 +392,17 @@ def simulate_pdp(
     splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(p))
     mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
 
+    # Cells are in lexicographic (x, y, z) order, so each distinct (x, y)
+    # entry pair is one run of consecutive cells.
+    ix, iy, _ = lattice.cells
+    starts = np.ones(ix.size, dtype=bool)
+    starts[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    columns = (ix[starts], iy[starts], np.diff(np.flatnonzero(starts), append=ix.size))
+    rows = max(1, _TILE // ix.size)
     run = functools.partial(
-        _run_chunk, cfg=cfg, lattice=lattice, g_pow=g_pow, mix_co=mix_co, mix_cross=mix_cross,
-        wavelength=wavelength, d2_max=_max_kept_d2(cfg.max_delay), n_bins=n_bins,
+        _run_chunk, cfg=cfg, lattice=lattice, columns=columns,
+        weights=np.tile(np.stack([g_pow, mix_co, mix_cross]), rows), wavelength=wavelength,
+        d2_max=_max_kept_d2(cfg.max_delay), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))

@@ -491,6 +491,7 @@ seen["process_pool"] = loaded("concurrent.futures.process")
 fit = ["fit", "--config", config, "--co", co, "--cross", cross, "--out", out]
 assert roompol.cli.main(fit) == 0
 seen["fit"] = loaded("scipy")
+seen["fit_numpy_ma"] = loaded("numpy.ma")
 with open(config) as fh:
     text = fh.read()
 with open(config, "w") as fh:
@@ -522,5 +523,5 @@ print(json.dumps(seen))
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == {
             "import": [], "eval": [], "cpr": [], "simulate": [], "process_pool": [],
-            "fit": [], "simplex_loads_optimize": True,
+            "fit": [], "fit_numpy_ma": [], "simplex_loads_optimize": True,
         }

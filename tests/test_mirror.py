@@ -1,5 +1,7 @@
 import math
+import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -185,6 +187,28 @@ def _room_reach_and_placement(draw):
     return dims, reach, tx, rx
 
 
+@st.composite
+def _room_and_sim_config(draw):
+    dims = [draw(st.floats(1.0, 8.0)) for _ in range(3)]
+    max_delay = draw(st.floats(5.0, 60.0)) * 1e-9
+    n_bins = draw(st.integers(5, 60))
+    kind = draw(st.sampled_from(["uniform", "fixed_los", "fixed_nlos"]))
+    kw = {}
+    if kind != "uniform":
+        distance = draw(st.floats(0.05, 0.9)) * min(dims)
+        kw = dict(placement="fixed", distance=distance, los=kind == "fixed_los")
+    # full_cube_pdp holds several n x cube float64 arrays; each stays under 4 MB
+    reach = SPEED_OF_LIGHT * max_delay
+    cube = math.prod(_axis_images(l, reach)[0].size for l in dims)
+    n = min(draw(st.integers(1, 300)), max(1, 500_000 // cube))
+    cfg = SimConfig(
+        n_realizations=n, bin_width=max_delay / n_bins, max_delay=max_delay,
+        rng_seed=draw(st.integers(0, 2**32 - 1)), **kw,
+    )
+    material = WallMaterial(g=draw(st.floats(0.1, 0.9)), gamma=draw(st.floats(0.0, 0.3)))
+    return RoomGeometry(*dims), material, PolGain.from_split(draw(st.floats(0.0, 1.0))), cfg
+
+
 class TestReachPruning:
     @settings(max_examples=200, deadline=None)
     @given(_room_reach_and_placement())
@@ -226,6 +250,40 @@ class TestReachPruning:
         assert np.array_equal(co.values, ref_co)
         assert np.array_equal(cross.values, ref_cross)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_room_and_sim_config())
+    def test_bins_are_bit_identical_in_random_rooms(self, case):
+        # The kept cells, and so the (x, y) columns a tile sums once, depend
+        # on the room's proportions and on reach.
+        room, material, mu_r, cfg = case
+        co, cross = simulate_pdp(room, material, V_MU, mu_r, LAM, cfg)
+        ref_co, ref_cross = full_cube_pdp(room, material, V_MU, mu_r, LAM, cfg)
+        assert np.array_equal(co.values, ref_co)
+        assert np.array_equal(cross.values, ref_cross)
+
+    def test_coincident_placement_is_dropped_silently(self, monkeypatch):
+        # Random placements never put the transmitter exactly on the
+        # receiver; this sampler does so in every 97th realization, the first
+        # of each chunk included. Its direct image arrives at d2 == 0.
+        sample = _sample_uniform
+
+        def coincident(rng, n, dims):
+            tx, rx = sample(rng, n, dims)
+            rx[::97] = tx[::97]
+            return tx, rx
+
+        monkeypatch.setattr(mirror, "_sample_uniform", coincident)
+        monkeypatch.setitem(globals(), "_sample_uniform", coincident)
+        cfg = SimConfig(n_realizations=3000, bin_width=1e-9, max_delay=31e-9, rng_seed=5)
+        mu_r = PolGain.from_split(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            co, cross = simulate_pdp(ROOM, MAT, V_MU, mu_r, LAM, cfg)
+        ref_co, ref_cross = full_cube_pdp(ROOM, MAT, V_MU, mu_r, LAM, cfg)
+        assert np.all(np.isfinite(co.values)) and np.all(np.isfinite(cross.values))
+        assert np.array_equal(co.values, ref_co)
+        assert np.array_equal(cross.values, ref_cross)
+
 
 class TestTiling:
     @pytest.mark.parametrize(
@@ -254,7 +312,9 @@ class TestTiling:
     def test_chunk_memory_is_bounded_as_max_delay_grows(self, delay_ns):
         # The kept lattice grows as max_delay**3 (1041 cells at 53 ns, 2685 at
         # 80 ns); an untiled chunk of 2048 realizations holds several float64
-        # arrays of 2048 x n_cells, 68 MB at 53 ns.
+        # arrays of 2048 x n_cells, 68 MB at 53 ns. A tiled chunk peaks near
+        # 2 MB; forming x + y for the whole chunk at once peaks at 4.8 MB at
+        # 53 ns and 8.1 MB at 80 ns.
         cfg = SimConfig(
             n_realizations=_CHUNK, bin_width=1e-9, max_delay=delay_ns * 1e-9, rng_seed=1
         )
@@ -264,7 +324,7 @@ class TestTiling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 4e6
 
 
 class TestKeepBound:
@@ -452,6 +512,34 @@ class TestSimulate:
         parallel = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg, workers=2)
         npt.assert_array_equal(serial[0].values, parallel[0].values)
         npt.assert_array_equal(serial[1].values, parallel[1].values)
+
+    def test_pickled_run_constants_keep_add_at_on_its_fast_path(self, monkeypatch):
+        # A pool worker unpickles the run constants, whose float64 dtype
+        # object is then not numpy's own. Values that inherit it send
+        # np.add.at off its fast path (three times slower per chunk).
+        canonical = []
+
+        class Add:
+            @staticmethod
+            def at(acc, idx, values):
+                canonical.append(values.dtype is np.dtype(float))
+                np.add.at(acc, idx, values)
+
+        class Numpy:
+            add = Add
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        def pickled_map(fn, *args):
+            return map(pickle.loads(pickle.dumps(fn)), *args)
+
+        monkeypatch.setattr(mirror, "np", Numpy())
+        monkeypatch.setattr(mirror, "map", pickled_map, raising=False)
+        kw = dict(placement="fixed", distance=1.8, los=False)
+        for cfg in (self.small_cfg(), self.small_cfg(**kw)):
+            simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+        assert canonical and all(canonical)
 
     def test_no_leakage_gives_zero_cross_channel(self):
         mat = WallMaterial(g=0.4, gamma=0.0)
