@@ -58,6 +58,22 @@ def _print_derived(p: model.PdsParams) -> None:
         print(f"CPR = {_fmt(ratio)} ({_db_scalar(ratio):.4f} dB)")
 
 
+def _write_report(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
+    """Every report writes its first column `.6g` and every other as dB `.4f`."""
+    io.write_report_csv(path, columns, [io.format_delay_ns] + [io.format_db] * (len(columns) - 1))
+
+
+def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, np.ndarray]]:
+    """Delay, co, cross, total and `params`' asymptote columns of linear curves, in dB."""
+    return [
+        ("delay_ns", tau * 1e9),
+        ("co_db", _db(co)),
+        ("cross_db", _db(cross)),
+        ("total_db", _db(co + cross)),
+        ("asymptote_db", _db(model.pds_asymptote(tau, params))),
+    ]
+
+
 def _model_channel_curves(
     params: model.PdsParams, cond: model.DistanceCondition | None, tau: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,18 +87,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tau = cfg.grid
     params = _params(cfg)
     co, cross = _model_channel_curves(params, cfg.cond, tau)
-    asym = model.pds_asymptote(tau, params)
-    io.write_report_csv(
-        args.out,
-        [
-            ("delay_ns", tau * 1e9),
-            ("co_db", _db(co)),
-            ("cross_db", _db(cross)),
-            ("total_db", _db(co + cross)),
-            ("asymptote_db", _db(asym)),
-        ],
-        [io.format_delay_ns] + [io.format_db] * 4,
-    )
+    _write_report(args.out, _curve_columns(tau, co, cross, params))
     _print_derived(params)
     if cfg.cond is not None:
         ratio_d = model.cpr_distance(params, cfg.cond)
@@ -110,17 +115,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     co_model, cross_model = _model_channel_curves(params, cfg.cond, co_sim.delays)
-    io.write_report_csv(
-        args.out,
-        [
-            ("delay_ns", co_sim.delays * 1e9),
-            ("co_sim_db", _db(co_sim.values)),
-            ("cross_sim_db", _db(cross_sim.values)),
-            ("co_model_db", _db(co_model)),
-            ("cross_model_db", _db(cross_model)),
-        ],
-        [io.format_delay_ns] + [io.format_db] * 4,
-    )
+    _write_report(args.out, [
+        ("delay_ns", co_sim.delays * 1e9),
+        ("co_sim_db", _db(co_sim.values)),
+        ("cross_sim_db", _db(cross_sim.values)),
+        ("co_model_db", _db(co_model)),
+        ("cross_model_db", _db(cross_model)),
+    ])
     if args.trace_prefix:
         for tag, trace in (("co", co_sim), ("cross", cross_sim)):
             io.write_trace_csv(
@@ -160,20 +161,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"weakly identified (gamma, xi) = {'yes' if result.weakly_identified else 'no'}")
 
     co_fit, cross_fit = fitting.predict(result, cfg.cond, problem)
-    tau = co_trace.delays
-    io.write_report_csv(
-        args.out,
-        [
-            ("delay_ns", tau * 1e9),
-            ("co_db", _db(co_fit.values)),
-            ("cross_db", _db(cross_fit.values)),
-            ("total_db", _db(co_fit.values + cross_fit.values)),
-            ("asymptote_db", _db(model.pds_asymptote(tau, fitted_params))),
-            ("co_meas_db", co_trace.values),
-            ("cross_meas_db", cross_trace.values),
-        ],
-        [io.format_delay_ns] + [io.format_db] * 6,
-    )
+    columns = _curve_columns(co_trace.delays, co_fit.values, cross_fit.values, fitted_params)
+    columns += [("co_meas_db", co_trace.values), ("cross_meas_db", cross_trace.values)]
+    _write_report(args.out, columns)
     print(f"wrote {args.out}")
     if args.strict and not result.converged:
         print("fit did not converge", file=sys.stderr)
@@ -194,11 +184,7 @@ def cmd_cpr(args: argparse.Namespace) -> int:
         _db_scalar(model.cpr_distance(params, model.DistanceCondition(d, los=True)))
         for d in distances
     ])
-    io.write_report_csv(
-        args.out,
-        [("d_m", distances), ("cpr_nlos_db", nlos), ("cpr_los_db", los)],
-        [io.format_delay_ns, io.format_db, io.format_db],
-    )
+    _write_report(args.out, [("d_m", distances), ("cpr_nlos_db", nlos), ("cpr_los_db", los)])
     print(f"wrote {args.out}")
     return 0
 

@@ -63,6 +63,8 @@ class FitProblem:
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     method: str = METHODS[0]
     max_iterations: int = DEFAULT_MAX_ITERATIONS
+    # the grid samples inside fit_window (all of them without one)
+    window_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.wavelength > 0:
@@ -84,16 +86,18 @@ class FitProblem:
         for name, (lo, hi) in zip(("g", "gamma", "xi"), self.bounds):
             if not (0.0 < lo < hi < 1.0):
                 raise ValueError(f"bounds for {name} must satisfy 0 < low < high < 1")
+        grid = self.co_trace.delays
+        self.window_mask = np.ones(grid.size, dtype=bool)
         if self.fit_window is not None:
             t0, t1 = self.fit_window
-            grid = self.co_trace.delays
             if t0 >= t1 or t1 < grid[0] or t0 > grid[-1]:
                 raise ValueError(f"fit window {self.fit_window} does not overlap the grid")
+            eps = 1e-9 * self.co_trace.spacing
+            self.window_mask = (grid >= t0 - eps) & (grid <= t1 + eps)
         # gated traces may hold -inf outside the window (zero power before
         # the direct delay); only the fitted samples must be finite
-        mask = _window_mask(self)
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
-            if not np.all(np.isfinite(tr.values[mask])):
+            if not np.all(np.isfinite(tr.values[self.window_mask])):
                 raise ValueError(
                     f"{name} trace contains non-finite dB values inside the fit window"
                 )
@@ -114,19 +118,9 @@ class FitResult:
     residual_rms_db: float
     iterations: int
     converged: bool
-    weakly_identified: bool = False
-    objective_initial: float = math.nan
-    objective_final: float = math.nan
-    objective_history: np.ndarray = field(default_factory=lambda: np.array([]))
-
-
-def _window_mask(problem: FitProblem) -> np.ndarray:
-    grid = problem.co_trace.delays
-    if problem.fit_window is None:
-        return np.ones(grid.size, dtype=bool)
-    t0, t1 = problem.fit_window
-    eps = 1e-9 * problem.co_trace.spacing
-    return (grid >= t0 - eps) & (grid <= t1 + eps)
+    weakly_identified: bool
+    objective_final: float
+    objective_history: np.ndarray
 
 
 def split_params(problem: FitProblem, g: float, gamma: float, xi: float) -> PdsParams:
@@ -170,7 +164,7 @@ def residual(params, problem: FitProblem) -> np.ndarray:
             raise ValueError(f"parameter {name}={value} outside bounds ({lo}, {hi})")
     if not noise > 0:
         raise ValueError(f"noise power must be > 0, got {noise}")
-    mask = _window_mask(problem)
+    mask = problem.window_mask
     co_lin, cross_lin = _model_traces(params, problem, problem.cond)
     res_co = 10.0 * np.log10(co_lin[mask]) - problem.co_trace.values[mask]
     res_cross = 10.0 * np.log10(cross_lin[mask]) - problem.cross_trace.values[mask]
@@ -182,8 +176,8 @@ def estimate_noise_floor(problem: FitProblem) -> float:
 
     Clamped away from zero so the log-space start stays finite even for
     noise-free synthetic inputs. The median is np.median's, taken by
-    partition: np.median's NaN check imports numpy.ma, about 15 ms in a fresh
-    process.
+    partition: np.median's NaN check imports numpy.ma, 6.1-6.9 ms in a fresh
+    process (`BENCH_5.json`).
     """
     n = problem.co_trace.delays.size
     tail = max(1, int(round(0.1 * n)))
@@ -317,17 +311,17 @@ def fit(problem: FitProblem) -> FitResult:
     within the iteration budget is reported through the `converged` flag;
     a result is returned either way.
     """
-    mask = _window_mask(problem)
-    n_window = int(mask.sum())
+    n_window = int(problem.window_mask.sum())
     if 2 * n_window < 4:
         raise ValueError(
             f"fit window holds {n_window} samples per channel; "
             "need at least as many residuals as parameters"
         )
 
+    floor = estimate_noise_floor(problem)
     g0, gamma0, xi0, noise0 = problem.initial_guess
     if noise0 is None:
-        noise0 = estimate_noise_floor(problem)
+        noise0 = floor
     start = []
     for value, (lo, hi) in zip((g0, gamma0, xi0), problem.bounds):
         span = hi - lo
@@ -395,9 +389,8 @@ def fit(problem: FitProblem) -> FitResult:
     final_res = residual((g, gamma, xi, noise), problem)
     objective_final = float(np.dot(final_res, final_res))
 
-    floor_db = 10.0 * math.log10(estimate_noise_floor(problem))
-    cross_peak = float(np.max(problem.cross_trace.values[mask]))
-    weakly_identified = cross_peak < floor_db + 3.0
+    cross_peak = float(np.max(problem.cross_trace.values[problem.window_mask]))
+    weakly_identified = cross_peak < 10.0 * math.log10(floor) + 3.0
 
     return FitResult(
         g=g,
@@ -408,7 +401,6 @@ def fit(problem: FitProblem) -> FitResult:
         iterations=len(history),
         converged=converged,
         weakly_identified=weakly_identified,
-        objective_initial=history[0] if history else math.nan,
         objective_final=objective_final,
         objective_history=np.array(history),
     )

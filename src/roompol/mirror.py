@@ -252,18 +252,26 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
     return tx_out, rx_out
 
 
-def _max_kept_d2(max_delay: float) -> float:
-    """Largest double d2 whose delay sqrt(d2) / c lies before `max_delay`.
+def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
+    """Largest double d2 whose delay sqrt(d2) / c lies before `max_delay` and
+    whose bin index, as `_run_chunk` computes it, lies below `n_bins`.
 
-    Correctly rounded sqrt and division are monotone in d2, so the pairs with
-    0 < d2 <= this bound are exactly those with delay < max_delay. It lies a
-    few ulp from (c * max_delay)**2, and nextafter steps from there find it.
+    Correctly rounded sqrt and division are monotone in d2, and so is the
+    truncated index, so the pairs with 0 < d2 <= this bound are exactly those
+    kept by both tests. The index test drops only arrivals within a few ulp of
+    max_delay that round up into bin n_bins. The bound lies a few ulp from
+    (c * max_delay)**2, and nextafter steps from there find it.
     """
+
+    def kept(d2: float) -> bool:
+        tau = math.sqrt(d2) / SPEED_OF_LIGHT
+        return tau < max_delay and int(tau / bin_width) < n_bins
+
     reach = SPEED_OF_LIGHT * max_delay
     d2 = reach * reach
-    while math.sqrt(d2) / SPEED_OF_LIGHT >= max_delay:
+    while not kept(d2):
         d2 = math.nextafter(d2, 0.0)
-    while math.sqrt(math.nextafter(d2, math.inf)) / SPEED_OF_LIGHT < max_delay:
+    while kept(math.nextafter(d2, math.inf)):
         d2 = math.nextafter(d2, math.inf)
     return d2
 
@@ -402,7 +410,7 @@ def simulate_pdp(
     run = functools.partial(
         _run_chunk, cfg=cfg, lattice=lattice, columns=columns,
         weights=np.tile(np.stack([g_pow, mix_co, mix_cross]), rows), wavelength=wavelength,
-        d2_max=_max_kept_d2(cfg.max_delay), n_bins=n_bins,
+        d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))

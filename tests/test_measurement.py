@@ -213,6 +213,11 @@ class TestPdpTrace:
         with pytest.raises(ValueError, match="uniform"):
             PdpTrace(np.array([0.0, 1e-9, 3e-9]), np.zeros(3), "linear")
 
+    @pytest.mark.parametrize("delays", [[0.0, math.inf], [0.0, math.nan], [-math.inf, 0.0]])
+    def test_rejects_non_finite_delays(self, delays):
+        with pytest.raises(ValueError, match="delays must be finite"):
+            PdpTrace(np.array(delays), np.zeros(2), "linear")
+
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             PdpTrace(np.array([0.0, 2e-9, 1e-9]), np.zeros(3), "linear")

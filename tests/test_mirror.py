@@ -328,16 +328,45 @@ class TestTiling:
 
 
 class TestKeepBound:
+    BIN_WIDTHS_NS = (0.1, 0.2, 0.25, 0.5, 1.0, 2.0)
+
+    @staticmethod
+    def kept(d2, max_delay, bin_width, n_bins):
+        # the chunk's own arithmetic: numpy sqrt, divide by c, by the bin width
+        tau = np.sqrt(d2) / SPEED_OF_LIGHT
+        return tau < max_delay and int(tau / bin_width) < n_bins
+
+    def check(self, max_delay, bin_width):
+        n_bins = int(round(max_delay / bin_width))
+        d2_max = np.float64(mirror._max_kept_d2(max_delay, bin_width, n_bins))
+        assert self.kept(d2_max, max_delay, bin_width, n_bins)
+        # the next double up is dropped by the delay test or the index test
+        assert not self.kept(np.nextafter(d2_max, np.inf), max_delay, bin_width, n_bins)
+
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(1e-10, 1e-5))
-    @example(10e-9)
-    @example(31e-9)
-    @example(40e-9)
-    @example(53e-9)
-    def test_is_the_last_squared_distance_before_max_delay(self, max_delay):
-        # the chunk's own delay arithmetic: numpy sqrt, then divide by c
-        d2_max = np.float64(mirror._max_kept_d2(max_delay))
-        assert np.sqrt(d2_max) / SPEED_OF_LIGHT < max_delay
+    @given(st.floats(1e-10, 1e-5), st.integers(1, 10**4))
+    @example(10e-9, 10)
+    @example(12e-9, 12)
+    @example(31e-9, 31)
+    @example(40e-9, 40)
+    @example(53e-9, 53)
+    def test_is_the_last_squared_distance_before_max_delay(self, max_delay, n_bins):
+        self.check(max_delay, max_delay / n_bins)
+
+    def test_every_grid_pair_bins_below_n_bins(self):
+        # 45 of these pairs (3, 6, 12, 24, ... ns at 0.25-2 ns bins) once got a
+        # bound that binned at n_bins, where np.add.at would raise IndexError
+        for k in range(2, 200):
+            for b in self.BIN_WIDTHS_NS:
+                ratio = k / b
+                if abs(ratio - round(ratio)) <= 1e-6 and b < k:
+                    self.check(k * 1e-9, b * 1e-9)
+
+    @pytest.mark.parametrize("max_delay_ns", [31, 40, 53])
+    def test_gated_bounds_keep_the_delay_only_bound(self, max_delay_ns):
+        max_delay = max_delay_ns * 1e-9
+        d2_max = mirror._max_kept_d2(max_delay, 1e-9, max_delay_ns)
+        assert int(np.sqrt(d2_max) / SPEED_OF_LIGHT / 1e-9) == max_delay_ns - 1
         assert not np.sqrt(np.nextafter(d2_max, np.inf)) / SPEED_OF_LIGHT < max_delay
 
 
