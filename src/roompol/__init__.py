@@ -5,7 +5,6 @@ from .measurement import (
     ObservationParams,
     PdpTrace,
     PulseShape,
-    average_pdp,
     db_linear_convert,
     observed_pds,
 )

@@ -16,16 +16,7 @@ import numpy as np
 
 from . import fitting, io, mirror, model
 from .config import RunConfig, load_run_config
-from .measurement import PdpTrace
-
-
-def _db(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(values)
-
-
-def _db_scalar(value: float) -> float:
-    return -math.inf if value <= 0 else 10.0 * math.log10(value)
+from .measurement import PdpTrace, to_db
 
 
 def _fmt(value: float) -> str:
@@ -55,7 +46,7 @@ def _print_derived(p: model.PdsParams) -> None:
     if math.isinf(ratio):
         print("CPR = inf")
     else:
-        print(f"CPR = {_fmt(ratio)} ({_db_scalar(ratio):.4f} dB)")
+        print(f"CPR = {_fmt(ratio)} ({to_db(ratio):.4f} dB)")
 
 
 def _write_report(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
@@ -67,10 +58,10 @@ def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, n
     """Delay, co, cross, total and `params`' asymptote columns of linear curves, in dB."""
     return [
         ("delay_ns", tau * 1e9),
-        ("co_db", _db(co)),
-        ("cross_db", _db(cross)),
-        ("total_db", _db(co + cross)),
-        ("asymptote_db", _db(model.pds_asymptote(tau, params))),
+        ("co_db", to_db(co)),
+        ("cross_db", to_db(cross)),
+        ("total_db", to_db(co + cross)),
+        ("asymptote_db", to_db(model.pds_asymptote(tau, params))),
     ]
 
 
@@ -117,16 +108,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     co_model, cross_model = _model_channel_curves(params, cfg.cond, co_sim.delays)
     _write_report(args.out, [
         ("delay_ns", co_sim.delays * 1e9),
-        ("co_sim_db", _db(co_sim.values)),
-        ("cross_sim_db", _db(cross_sim.values)),
-        ("co_model_db", _db(co_model)),
-        ("cross_model_db", _db(cross_model)),
+        ("co_sim_db", to_db(co_sim.values)),
+        ("cross_sim_db", to_db(cross_sim.values)),
+        ("co_model_db", to_db(co_model)),
+        ("cross_model_db", to_db(cross_model)),
     ])
     if args.trace_prefix:
         for tag, trace in (("co", co_sim), ("cross", cross_sim)):
             io.write_trace_csv(
                 f"{args.trace_prefix}_{tag}.csv",
-                PdpTrace(delays=trace.delays, values=_db(trace.values), scale="db"),
+                PdpTrace(delays=trace.delays, values=to_db(trace.values), scale="db"),
             )
     print(f"simulated {sim_cfg.n_realizations} realizations (seed {sim_cfg.rng_seed})")
     print(f"wrote {args.out}")
@@ -177,11 +168,11 @@ def cmd_cpr(args: argparse.Namespace) -> int:
     params = _params(cfg)
     distances = np.array(cfg.cpr_distances)
     nlos = np.array([
-        _db_scalar(model.cpr_distance(params, model.DistanceCondition(d, los=False)))
+        to_db(model.cpr_distance(params, model.DistanceCondition(d, los=False)))
         for d in distances
     ])
     los = np.array([
-        _db_scalar(model.cpr_distance(params, model.DistanceCondition(d, los=True)))
+        to_db(model.cpr_distance(params, model.DistanceCondition(d, los=True)))
         for d in distances
     ])
     _write_report(args.out, [("d_m", distances), ("cpr_nlos_db", nlos), ("cpr_los_db", los)])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import norm, svd
 
-from .measurement import ObservationParams, PdpTrace, PulseShape, observed_pds
+from .measurement import ObservationParams, PdpTrace, PulseShape, from_db, observed_pds, to_db
 from .model import (
     DistanceCondition,
     PdsParams,
@@ -166,8 +166,8 @@ def residual(params, problem: FitProblem) -> np.ndarray:
         raise ValueError(f"noise power must be > 0, got {noise}")
     mask = problem.window_mask
     co_lin, cross_lin = _model_traces(params, problem, problem.cond)
-    res_co = 10.0 * np.log10(co_lin[mask]) - problem.co_trace.values[mask]
-    res_cross = 10.0 * np.log10(cross_lin[mask]) - problem.cross_trace.values[mask]
+    res_co = to_db(co_lin[mask]) - problem.co_trace.values[mask]
+    res_cross = to_db(cross_lin[mask]) - problem.cross_trace.values[mask]
     return np.concatenate([res_co, res_cross])
 
 
@@ -184,7 +184,7 @@ def estimate_noise_floor(problem: FitProblem) -> float:
     pooled = np.concatenate(
         [problem.co_trace.values[-tail:], problem.cross_trace.values[-tail:]]
     )
-    power = np.power(10.0, pooled / 10.0)
+    power = from_db(pooled)
     mid = power.size // 2  # pooled holds 2 * tail values, so the size is even
     lo, hi = np.partition(power, (mid - 1, mid))[mid - 1 : mid + 1]
     return max(float((lo + hi) / 2), 1e-30)
@@ -390,7 +390,7 @@ def fit(problem: FitProblem) -> FitResult:
     objective_final = float(np.dot(final_res, final_res))
 
     cross_peak = float(np.max(problem.cross_trace.values[problem.window_mask]))
-    weakly_identified = cross_peak < 10.0 * math.log10(floor) + 3.0
+    weakly_identified = bool(cross_peak < to_db(floor) + 3.0)
 
     return FitResult(
         g=g,

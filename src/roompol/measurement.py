@@ -8,7 +8,7 @@ pulse and by an additive white noise floor:
 
 This module tabulates unit-energy pulses on the delay grid, applies the
 convolution, places the discrete direct-path spike as a pulse-shaped bump,
-and provides averaging plus dB/linear conversion for sampled traces.
+and holds the one dB rule (`to_db`, `from_db`) for sampled traces.
 """
 
 from __future__ import annotations
@@ -187,19 +187,15 @@ def observed_pds(
     return PdpTrace(delays=grid.copy(), values=values, scale="linear")
 
 
-def average_pdp(realizations: list[PdpTrace]) -> PdpTrace:
-    """Sample-wise arithmetic mean of linear traces sharing one grid, as a
-    linear trace; `db_linear_convert` turns it into dB."""
-    if not realizations:
-        raise ValueError("need at least one realization to average")
-    first = realizations[0]
-    for i, tr in enumerate(realizations):
-        if tr.scale != "linear":
-            raise ValueError(f"realization {i} is not on a linear scale")
-        if tr.delays.shape != first.delays.shape or not np.array_equal(tr.delays, first.delays):
-            raise ValueError(f"realization {i} is not on the shared delay grid")
-    mean = np.mean([tr.values for tr in realizations], axis=0)
-    return PdpTrace(delays=first.delays.copy(), values=mean, scale="linear")
+def to_db(power):
+    """10 log10(power) in dB; zero power gives -inf without a warning."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(power)
+
+
+def from_db(level):
+    """Linear power 10^(level / 10), the inverse of `to_db`."""
+    return np.power(10.0, level / 10.0)
 
 
 def db_linear_convert(trace: PdpTrace, target: str) -> PdpTrace:
@@ -211,13 +207,5 @@ def db_linear_convert(trace: PdpTrace, target: str) -> PdpTrace:
     if target == "db":
         if np.any(trace.values <= 0):
             raise ValueError("cannot convert nonpositive linear values to dB")
-        return PdpTrace(
-            delays=trace.delays.copy(),
-            values=10.0 * np.log10(trace.values),
-            scale="db",
-        )
-    return PdpTrace(
-        delays=trace.delays.copy(),
-        values=np.power(10.0, trace.values / 10.0),
-        scale="linear",
-    )
+        return PdpTrace(delays=trace.delays.copy(), values=to_db(trace.values), scale="db")
+    return PdpTrace(delays=trace.delays.copy(), values=from_db(trace.values), scale="linear")

@@ -19,6 +19,14 @@ import numpy as np
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise a `ValueError` naming `name` unless 0 < value < inf."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RoomGeometry:
     """Box-shaped room, dimensions in meters."""
@@ -29,8 +37,7 @@ class RoomGeometry:
 
     def __post_init__(self) -> None:
         for name in ("lx", "ly", "lz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"room dimension {name} must be > 0, got {getattr(self, name)}")
+            _require_positive(f"room dimension {name}", getattr(self, name))
 
     def volume(self) -> float:
         return self.lx * self.ly * self.lz
@@ -71,10 +78,10 @@ class PolGain:
     mu_phi: float
 
     def __post_init__(self) -> None:
-        if self.mu_theta < 0 or self.mu_phi < 0:
-            raise ValueError(
-                f"mean gains must be nonnegative, got ({self.mu_theta}, {self.mu_phi})"
-            )
+        for name in ("mu_theta", "mu_phi"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"mean gain {name} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_split(cls, xi: float) -> "PolGain":
@@ -99,8 +106,7 @@ class PdsParams:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        _require_positive("wavelength", self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,7 @@ class DistanceCondition:
     los: bool = False
 
     def __post_init__(self) -> None:
-        if not self.distance > 0:
-            raise ValueError(f"distance must be > 0, got {self.distance}")
+        _require_positive("distance", self.distance)
 
 
 @dataclass(frozen=True)
@@ -234,10 +239,14 @@ def _amplitude(p: PdsParams) -> float:
     return SPEED_OF_LIGHT * p.wavelength**2 / (2.0 * p.room.volume())
 
 
+def _like(tau_arr: np.ndarray, x):
+    """`x` as a float for a scalar tau, as it is for an array tau."""
+    return float(x) if tau_arr.ndim == 0 else x
+
+
 def _gated(tau_arr: np.ndarray, co, cross):
     """The (co, cross) pair, zero for tau < 0 and floats for a scalar tau."""
-    co, cross = (np.where(tau_arr >= 0, part, 0.0) for part in (co, cross))
-    return (float(co), float(cross)) if tau_arr.ndim == 0 else (co, cross)
+    return tuple(_like(tau_arr, np.where(tau_arr >= 0, part, 0.0)) for part in (co, cross))
 
 
 def pds_components(tau, p: PdsParams):
@@ -256,7 +265,7 @@ def pds_components(tau, p: PdsParams):
     t_rev = reverberation_time(p.room, p.material)
     t_mix = mixing_time(p.room, p.material)
     decay = _amplitude(p) * np.exp(-tt / t_rev)
-    mix = np.exp(-tt / t_mix) if math.isfinite(t_mix) else np.ones_like(tt)
+    mix = np.exp(-tt / t_mix)
     return _gated(tau_arr, *bounce_split(*_mu_products(p), decay, mix))
 
 
@@ -368,11 +377,9 @@ def pds_asymptote(tau, p: PdsParams):
     tau_arr = np.asarray(tau, dtype=float)
     if np.any(tau_arr < 0):
         raise ValueError("asymptote is only defined for tau >= 0")
-    scalar = tau_arr.ndim == 0
     t_rev = reverberation_time(p.room, p.material)
     k_co, k_cross = _mu_products(p)
-    out = _amplitude(p) * np.exp(-tau_arr / t_rev) * (k_co + k_cross)
-    return float(out) if scalar else out
+    return _like(tau_arr, _amplitude(p) * np.exp(-tau_arr / t_rev) * (k_co + k_cross))
 
 
 def co_cross_ratio(tau, p: PdsParams):
@@ -385,14 +392,13 @@ def co_cross_ratio(tau, p: PdsParams):
     tau_arr = np.asarray(tau, dtype=float)
     if np.any(tau_arr <= 0):
         raise ValueError("co/cross ratio requires tau > 0")
-    scalar = tau_arr.ndim == 0
     k_co, k_cross = _mu_products(p)
     t_mix = mixing_time(p.room, p.material)
     if k_cross == 0.0 or not math.isfinite(t_mix):
         out = np.full_like(tau_arr, math.inf)
     else:
         out = (k_co / k_cross) / np.tanh(tau_arr / (2.0 * t_mix))
-    return float(out) if scalar else out
+    return _like(tau_arr, out)
 
 
 def cpr(p: PdsParams) -> float:
@@ -427,8 +433,7 @@ def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
     if cond is None:
         return pds(tau, p)
     tau_arr = np.asarray(tau, dtype=float)
-    diffuse = np.where(tau_arr > cond.distance / SPEED_OF_LIGHT, pds(tau_arr, p), 0.0)
-    return float(diffuse) if tau_arr.ndim == 0 else diffuse
+    return _like(tau_arr, np.where(tau_arr > cond.distance / SPEED_OF_LIGHT, pds(tau_arr, p), 0.0))
 
 
 def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:

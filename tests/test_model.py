@@ -117,6 +117,22 @@ class TestTypes:
         with pytest.raises(ValueError, match="distance"):
             DistanceCondition(distance=0.0, los=True)
 
+    NON_FINITE_BUILDERS = {
+        "lx": lambda v: RoomGeometry(v, 4.0, 3.0),
+        "ly": lambda v: RoomGeometry(3.0, v, 3.0),
+        "lz": lambda v: RoomGeometry(3.0, 4.0, v),
+        "mu_theta": lambda v: PolGain(v, 0.5),
+        "mu_phi": lambda v: PolGain(0.5, v),
+        "wavelength": lambda v: PdsParams(ROOM, MAT, PolGain(1, 0), PolGain(1, 0), v),
+        "distance": lambda v: DistanceCondition(v, los=True),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", list(NON_FINITE_BUILDERS))
+    def test_non_finite_values_are_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            self.NON_FINITE_BUILDERS[field](bad)
+
 
 class TestBounceMatrix:
     def test_no_leakage_gives_scaled_identity(self):
