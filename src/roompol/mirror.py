@@ -24,7 +24,11 @@ column of the lattice share their x + y term, so a tile sums it once per
 column and adds z per cell. Pairs at or beyond max_delay are dropped on
 their squared distance in one compare, and the one arrival at distance
 zero (a transmitter exactly on the receiver) among the survivors; the square
-root, the delay and the power are computed for the survivors only.
+root, the delay and the power are computed for the survivors only. Both
+channels go into one complex sum, co + 1j * cross: complex addition is part
+by part, and a complex mix times the real power d2 + 0j adds an exact zero
+cross term, so each bin holds the bits of a float sum per channel. The traces
+divide the real and the imaginary part by the norm separately.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 < self.bin_width < math.inf:
             raise ValueError(f"bin_width must be finite and > 0, got {self.bin_width}")
         if not self.bin_width < self.max_delay < math.inf:
@@ -277,9 +283,9 @@ def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
 
 
 def _run_chunk(
-    seed_seq, n, *, cfg, lattice, columns, weights, wavelength, d2_max, n_bins
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate binned co/cross powers for one chunk of n realizations.
+    seed_seq, n, *, cfg, lattice, columns, g_pow, mix, wavelength, d2_max, n_bins
+) -> np.ndarray:
+    """Accumulate binned co + 1j * cross powers for one chunk of n realizations.
 
     The (realization, cell) pairs are formed in C-ordered tiles of `rows`
     realizations by all cells, about `_TILE` pairs, so their arrays take
@@ -295,9 +301,9 @@ def _run_chunk(
     One compare keeps the pairs with d2 <= d2_max (`_max_kept_d2`); of those,
     only a transmitter exactly on the receiver has d2 == 0, and it is dropped
     among the kept arrivals before any division. Sqrt, delay and power are
-    then formed in place for the survivors only. `weights` holds g^B, the co
-    and the cross mix of each cell, tiled to `rows` rows by `simulate_pdp`, so
-    one gather by flat index fetches all three (no modulo per arrival).
+    then formed in place for the survivors only. `g_pow` (g^B) and `mix`
+    (co + 1j * cross) of each cell come tiled to `rows` rows by `simulate_pdp`,
+    so each is one gather by flat index; one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
@@ -305,11 +311,11 @@ def _run_chunk(
         tx, rx = _sample_uniform(rng, n, dims)
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
-    # An array unpickled in a pool worker has its own float64 dtype object.
+    # An array unpickled in a pool worker has its own dtype object.
     # A result takes the dtype of its first operand, so every array the
     # arrivals are computed from is re-wrapped: `np.add.at` leaves its fast
     # path for such a dtype.
-    weights = np.asarray(weights, dtype=float)
+    g_pow, mix = np.asarray(g_pow, dtype=float), np.asarray(mix, dtype=complex)
     offsets, signs = (
         [np.asarray(a, dtype=float) for a in arrays] for arrays in (lattice.offsets, lattice.signs)
     )
@@ -320,8 +326,8 @@ def _run_chunk(
     )
     col_x, col_y, col_size = columns
     iz = lattice.cells[2]
-    rows = weights.shape[1] // iz.size
-    acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
+    rows = g_pow.size // iz.size
+    acc = np.zeros(n_bins, dtype=complex)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
         # same terms in the same order as over the full cube.
@@ -341,13 +347,11 @@ def _run_chunk(
         # d2 becomes the arrival power g^B * lambda^2 / (4 pi d2), in place
         d2 *= 4.0 * np.pi
         np.divide(wavelength * wavelength, d2, out=d2)
-        g_pow, co, cross = weights.take(flat, axis=1)
-        d2 *= g_pow
-        co *= d2
-        np.add.at(acc_co, idx, co)
-        d2 *= cross
-        np.add.at(acc_cross, idx, d2)
-    return acc_co, acc_cross
+        d2 *= g_pow.take(flat)
+        power = mix.take(flat)
+        power *= d2
+        np.add.at(acc, idx, power)
+    return acc
 
 
 def simulate_pdp(
@@ -408,8 +412,8 @@ def simulate_pdp(
     columns = (ix[starts], iy[starts], np.diff(np.flatnonzero(starts), append=ix.size))
     rows = max(1, _TILE // ix.size)
     run = functools.partial(
-        _run_chunk, cfg=cfg, lattice=lattice, columns=columns,
-        weights=np.tile(np.stack([g_pow, mix_co, mix_cross]), rows), wavelength=wavelength,
+        _run_chunk, cfg=cfg, lattice=lattice, columns=columns, wavelength=wavelength,
+        g_pow=np.tile(g_pow, rows), mix=np.tile(mix_co + 1j * mix_cross, rows),
         d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
@@ -420,14 +424,12 @@ def simulate_pdp(
     if n_workers > 1:
         # imported here so single-worker runs skip concurrent.futures.process
         from concurrent.futures import ProcessPoolExecutor
-    acc_co, acc_cross = np.zeros(n_bins), np.zeros(n_bins)
     with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        for part_co, part_cross in (pool.map if pool else map)(run, seeds, sizes):
-            acc_co += part_co
-            acc_cross += part_cross
+        acc = sum((pool.map if pool else map)(run, seeds, sizes))  # in chunk order
 
     centers = (np.arange(n_bins) + 0.5) * cfg.bin_width
     norm = cfg.n_realizations * cfg.bin_width
-    co = PdpTrace(delays=centers, values=acc_co / norm, scale="linear")
-    cross = PdpTrace(delays=centers, values=acc_cross / norm, scale="linear")
+    # Split before dividing: complex-by-real division rounds both parts otherwise.
+    co = PdpTrace(delays=centers, values=acc.real / norm, scale="linear")
+    cross = PdpTrace(delays=centers, values=acc.imag / norm, scale="linear")
     return co, cross

@@ -147,6 +147,13 @@ class TestSimulate:
         cross = header.index("cross_sim_db")
         assert all(row[cross] == "" for row in cells)
 
+    def test_negative_seed_override_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.SIM)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--seed", "-3"])
+        assert code == 2
+        assert "rng_seed must be >= 0, got -3" in capsys.readouterr().err
+
     def test_trace_prefix_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)
         out = tmp_path / "sim.csv"

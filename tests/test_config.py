@@ -107,6 +107,14 @@ def test_fixed_placement_requires_link(tmp_path):
         load_run_config(write(tmp_path, text))
 
 
+def test_negative_seed_names_the_field(tmp_path):
+    text = BASE + (
+        "simulation: {realizations: 1000, seed: -1, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
+    )
+    with pytest.raises(ConfigError, match=r"\[simulation\] rng_seed must be >= 0, got -1"):
+        load_run_config(write(tmp_path, text))
+
+
 def test_fit_section_defaults_and_window(tmp_path):
     text = BASE + (
         "pulse: {kind: boxcar, bandwidth_hz: 1.0e9}\n"

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roompol import (
+    PdpTrace,
     PolGain,
     RoomGeometry,
     SimConfig,
@@ -543,15 +544,15 @@ class TestSimulate:
         npt.assert_array_equal(serial[1].values, parallel[1].values)
 
     def test_pickled_run_constants_keep_add_at_on_its_fast_path(self, monkeypatch):
-        # A pool worker unpickles the run constants, whose float64 dtype
-        # object is then not numpy's own. Values that inherit it send
-        # np.add.at off its fast path (three times slower per chunk).
+        # A pool worker unpickles the run constants, whose dtype objects are
+        # then not numpy's own. Values that inherit one send np.add.at off
+        # its fast path (three times slower per chunk).
         canonical = []
 
         class Add:
             @staticmethod
             def at(acc, idx, values):
-                canonical.append(values.dtype is np.dtype(float))
+                canonical.append(values.dtype is np.dtype(complex))
                 np.add.at(acc, idx, values)
 
         class Numpy:
@@ -569,6 +570,31 @@ class TestSimulate:
         for cfg in (self.small_cfg(), self.small_cfg(**kw)):
             simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
         assert canonical and all(canonical)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kw", [dict(), dict(placement="fixed", distance=1.8, los=False)],
+        ids=["uniform", "fixed_nlos"],
+    )
+    def test_traces_receive_contiguous_float_values(self, monkeypatch, kw, workers):
+        # The chunks sum co + 1j * cross. Neither that complex sum nor a
+        # strided .real view of it may reach PdpTrace, whose values
+        # io.write_trace_csv checks with math.isfinite one at a time.
+        received = []
+
+        def trace(**fields):
+            received.append(fields["values"])
+            return PdpTrace(**fields)
+
+        monkeypatch.setattr(mirror, "PdpTrace", trace)
+        cfg = self.small_cfg(**kw)
+        assert cfg.n_realizations > _CHUNK
+        traces = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg, workers=workers)
+        assert len(received) == len(traces) == 2
+        for values, out in zip(received, traces):
+            assert values.dtype == np.float64
+            assert values.flags.c_contiguous
+            assert out.values is values
 
     def test_no_leakage_gives_zero_cross_channel(self):
         mat = WallMaterial(g=0.4, gamma=0.0)
