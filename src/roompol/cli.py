@@ -19,10 +19,6 @@ from .config import RunConfig, load_run_config
 from .measurement import PdpTrace, to_db
 
 
-def _fmt(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6g}"
-
-
 def _params(cfg: RunConfig) -> model.PdsParams:
     """Model parameters of the configured (co-polarized) channel."""
     cfg.require("material", "material")
@@ -40,13 +36,13 @@ def _print_derived(p: model.PdsParams) -> None:
     t_rev = model.reverberation_time(p.room, p.material)
     t_mix = model.mixing_time(p.room, p.material)
     ratio = model.cpr(p)
-    print(f"T = {_fmt(t_rev * 1e9)} ns")
-    print(f"T_p = {_fmt(t_mix * 1e9)} ns")
-    print(f"mixing constant = {_fmt(model.mixing_constant(p.material))}")
+    print(f"T = {t_rev * 1e9:.6g} ns")
+    print(f"T_p = {t_mix * 1e9:.6g} ns")
+    print(f"mixing constant = {model.mixing_constant(p.material):.6g}")
     if math.isinf(ratio):
         print("CPR = inf")
     else:
-        print(f"CPR = {_fmt(ratio)} ({to_db(ratio):.4f} dB)")
+        print(f"CPR = {ratio:.6g} ({to_db(ratio):.4f} dB)")
 
 
 def _write_report(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
@@ -65,31 +61,21 @@ def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, n
     ]
 
 
-def _model_channel_curves(
-    params: model.PdsParams, cond: model.DistanceCondition | None, tau: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    co, cross = (model.pds_conditional(tau, p, cond) for p in model.channel_pair(params))
-    return co, cross
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     cfg.require("grid", "grid")
     tau = cfg.grid
     params = _params(cfg)
-    co, cross = _model_channel_curves(params, cfg.cond, tau)
+    co, cross = (model.pds_conditional(tau, p, cfg.cond) for p in model.channel_pair(params))
     _write_report(args.out, _curve_columns(tau, co, cross, params))
     _print_derived(params)
     if cfg.cond is not None:
         ratio_d = model.cpr_distance(params, cfg.cond)
         state = "LOS" if cfg.cond.los else "NLOS"
-        print(f"CPR(d={_fmt(cfg.cond.distance)} m, {state}) = {_fmt(ratio_d)}")
+        print(f"CPR(d={cfg.cond.distance:.6g} m, {state}) = {ratio_d:.6g}")
         spike = model.direct_path(params, cfg.cond)
         if spike is not None:
-            print(
-                f"direct path: delay = {_fmt(spike.delay * 1e9)} ns, "
-                f"weight = {_fmt(spike.weight)}"
-            )
+            print(f"direct path: delay = {spike.delay * 1e9:.6g} ns, weight = {spike.weight:.6g}")
     print(f"wrote {args.out}")
     return 0
 
@@ -105,7 +91,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg.room, cfg.material, cfg.mu_t, cfg.mu_r, cfg.wavelength, sim_cfg,
         workers=args.workers,
     )
-    co_model, cross_model = _model_channel_curves(params, cfg.cond, co_sim.delays)
+    co_model, cross_model = (
+        model.pds_conditional(co_sim.delays, p, cfg.cond) for p in model.channel_pair(params)
+    )
     _write_report(args.out, [
         ("delay_ns", co_sim.delays * 1e9),
         ("co_sim_db", to_db(co_sim.values)),
@@ -141,10 +129,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     result = fitting.fit(problem)
     fitted_params = fitting.split_params(problem, result.g, result.gamma, result.xi)
 
-    print(f"g = {_fmt(result.g)}")
-    print(f"gamma = {_fmt(result.gamma)}")
-    print(f"xi = {_fmt(result.xi)}")
-    print(f"P_noise = {_fmt(result.noise_power)}")
+    print(f"g = {result.g:.6g}")
+    print(f"gamma = {result.gamma:.6g}")
+    print(f"xi = {result.xi:.6g}")
+    print(f"P_noise = {result.noise_power:.6g}")
     _print_derived(fitted_params)
     print(f"residual RMS = {result.residual_rms_db:.4f} dB")
     print(f"iterations = {result.iterations}")
@@ -167,15 +155,12 @@ def cmd_cpr(args: argparse.Namespace) -> int:
     cfg.require("cpr_distances", "cpr")
     params = _params(cfg)
     distances = np.array(cfg.cpr_distances)
-    nlos = np.array([
-        to_db(model.cpr_distance(params, model.DistanceCondition(d, los=False)))
-        for d in distances
-    ])
-    los = np.array([
-        to_db(model.cpr_distance(params, model.DistanceCondition(d, los=True)))
-        for d in distances
-    ])
-    _write_report(args.out, [("d_m", distances), ("cpr_nlos_db", nlos), ("cpr_los_db", los)])
+    columns = [("d_m", distances)]
+    for los in (False, True):
+        conds = (model.DistanceCondition(d, los=los) for d in distances)
+        cpr_db = [to_db(model.cpr_distance(params, cond)) for cond in conds]
+        columns.append((f"cpr_{'los' if los else 'nlos'}_db", np.array(cpr_db)))
+    _write_report(args.out, columns)
     print(f"wrote {args.out}")
     return 0
 

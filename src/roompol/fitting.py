@@ -141,13 +141,12 @@ def split_params(problem: FitProblem, g: float, gamma: float, xi: float) -> PdsP
 
 def _model_traces(
     params, problem: FitProblem, cond: DistanceCondition | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[PdpTrace, PdpTrace]:
     g, gamma, xi, noise = params
     obs = ObservationParams(pulse=problem.pulse, noise_power=noise)
     grid = problem.co_trace.delays
     co, cross = (
-        observed_pds(grid, p, cond, obs).values
-        for p in channel_pair(split_params(problem, g, gamma, xi))
+        observed_pds(grid, p, cond, obs) for p in channel_pair(split_params(problem, g, gamma, xi))
     )
     return co, cross
 
@@ -165,9 +164,9 @@ def residual(params, problem: FitProblem) -> np.ndarray:
     if not noise > 0:
         raise ValueError(f"noise power must be > 0, got {noise}")
     mask = problem.window_mask
-    co_lin, cross_lin = _model_traces(params, problem, problem.cond)
-    res_co = to_db(co_lin[mask]) - problem.co_trace.values[mask]
-    res_cross = to_db(cross_lin[mask]) - problem.cross_trace.values[mask]
+    co, cross = _model_traces(params, problem, problem.cond)
+    res_co = to_db(co.values[mask]) - problem.co_trace.values[mask]
+    res_cross = to_db(cross.values[mask]) - problem.cross_trace.values[mask]
     return np.concatenate([res_co, res_cross])
 
 
@@ -205,7 +204,8 @@ def _to_internal(params, bounds) -> np.ndarray:
 def _from_internal(u, bounds) -> tuple[float, float, float, float]:
     # scipy.special.expit is 1 / (1 + exp(-u)); past exp's range it is 0 to 1e-308
     expit = [1.0 / (1.0 + math.exp(min(-ui, 709.0))) for ui in u[:3]]
-    vals = [lo + (hi - lo) * e for e, (lo, hi) in zip(expit, bounds)]
+    # as expit rounds to 1, lo + (hi - lo) can round above hi
+    vals = [min(hi, lo + (hi - lo) * e) for e, (lo, hi) in zip(expit, bounds)]
     return (*vals, math.exp(u[3]))
 
 
@@ -414,9 +414,4 @@ def predict(
     problem grid.
     """
     params = (result.g, result.gamma, result.xi, result.noise_power)
-    co_lin, cross_lin = _model_traces(params, problem, cond)
-    grid = problem.co_trace.delays
-    return (
-        PdpTrace(delays=grid.copy(), values=co_lin, scale="linear"),
-        PdpTrace(delays=grid.copy(), values=cross_lin, scale="linear"),
-    )
+    return _model_traces(params, problem, cond)

@@ -125,8 +125,8 @@ def _axis_images(length: float, span: float):
 
     Covers every image coordinate in [-span, length + span]. Even-type
     images sit at 2p*length + tx with |2p| axis bounces, odd-type at
-    2p*length - tx with |2p - 1|; the even p = 0 entry is the transmitter
-    itself and is flagged for direct-path handling.
+    2p*length - tx with |2p - 1| >= 1; the even p = 0 entry, the only one
+    with zero bounces, is the transmitter's own coordinate.
     """
     (even_lo, even_hi), (odd_lo, odd_hi) = _axis_p_ranges(length, span)
     p_even = np.arange(even_lo, even_hi + 1)
@@ -134,8 +134,7 @@ def _axis_images(length: float, span: float):
     offsets = np.concatenate([2.0 * p_even * length, 2.0 * p_odd * length])
     signs = np.concatenate([np.ones(p_even.size), -np.ones(p_odd.size)])
     bounces = np.concatenate([np.abs(2 * p_even), np.abs(2 * p_odd - 1)]).astype(np.int64)
-    direct = np.concatenate([p_even == 0, np.zeros(p_odd.size, dtype=bool)])
-    return offsets, signs, bounces, direct
+    return offsets, signs, bounces
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ class ImageLattice:
     `_axis_images`). Cell k takes entry `cells[i][k]` of each table, so its
     image coordinate along axis i is `offsets[i][j] + signs[i][j] * tx[i]`
     with `j = cells[i][k]`. Cells are in lexicographic (x, y, z) order;
-    `bounces` holds each cell's exact wall-interaction count and `direct`
-    flags the cell of the transmitter itself.
+    `bounces` holds each cell's exact wall-interaction count; the one cell
+    with zero bounces is the transmitter itself.
     """
 
     dims: tuple[float, float, float]
@@ -155,7 +154,6 @@ class ImageLattice:
     signs: tuple[np.ndarray, np.ndarray, np.ndarray]
     cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounces: np.ndarray
-    direct: np.ndarray
 
     def positions(self, tx) -> np.ndarray:
         """Image positions, shape (n_cells, 3), of a transmitter inside the room."""
@@ -201,7 +199,7 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
         )
     per_axis = [_axis_images(l, reach) for l in dims]
     gap2 = []
-    for l, (off, sign, _, _) in zip(dims, per_axis):
+    for l, (off, sign, _) in zip(dims, per_axis):
         lo = off - l * (sign < 0)
         gap = np.maximum(0.0, np.maximum(lo - l, -(lo + l)))
         gap2.append(gap * gap)
@@ -213,7 +211,6 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
         signs=tuple(a[1] for a in per_axis),
         cells=cells,
         bounces=sum(a[2][idx] for a, idx in zip(per_axis, cells)),
-        direct=np.logical_and.reduce([a[3][idx] for a, idx in zip(per_axis, cells)]),
     )
 
 
@@ -391,12 +388,11 @@ def simulate_pdp(
 
     lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)
     if cfg.placement == "fixed" and not cfg.los:
-        # Dropping a cell keeps the other arrivals in order, so bin sums are unchanged.
-        keep = ~lattice.direct
-        lattice = replace(
-            lattice, cells=tuple(i[keep] for i in lattice.cells),
-            bounces=lattice.bounces[keep], direct=lattice.direct[keep],
-        )
+        # Drop the transmitter's cell, the one with zero bounces. Dropping a
+        # cell keeps the other arrivals in order, so bin sums are unchanged.
+        keep = lattice.bounces > 0
+        cells = tuple(i[keep] for i in lattice.cells)
+        lattice = replace(lattice, cells=cells, bounces=lattice.bounces[keep])
 
     g_pow = material.g ** lattice.bounces.astype(float)
     # A channel's weight is half its two split parts; g^B stays in g_pow.

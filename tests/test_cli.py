@@ -306,6 +306,19 @@ class TestFit:
                      "--strict"])
         assert code == 4
 
+    def test_fit_reaching_an_upper_bound_exits_cleanly(self, tmp_path, capsys):
+        config, paths = self.make_inputs(tmp_path)
+        text = open(config).read().replace(
+            "fit: {g0: 0.5, gamma0: 0.1, xi0: 0.05, noise0: 1.0e-10}",
+            "fit: {bounds_gamma: [0.002, 0.02]}",
+        )
+        config2 = write_config(tmp_path, text, name="bounded.yaml")
+        code = main(["fit", "--config", config2, "--co", paths["co"],
+                     "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert parse_stdout(captured.out)["gamma"] == "0.02"
+
 
 class TestCpr:
     CFG = (
@@ -478,6 +491,37 @@ class TestTraceCsv:
         path.write_text(text + f"# scale: {note}\n")
         with pytest.raises(TraceFormatError, match=f"row 8: '# scale: {note}' disagrees"):
             read_trace_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "header", ["delay_ns", "delay_ns,power_db,extra", "time_ns,power_db", "delay_ns,power"]
+    )
+    def test_unexpected_header_is_rejected_with_the_row(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# roompol pdp trace\n{header}\n0,-10\n1,-20\n")
+        with pytest.raises(TraceFormatError, match="row 2: unexpected header"):
+            read_trace_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "delay_ns,power_db\n"])
+    def test_file_without_rows_is_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match="no trace rows found"):
+            read_trace_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1\n", "at least two samples"),
+            ("0,1\n2,1\n1,1\n", "strictly increasing"),
+            ("0,1\n1,-1\n", "nonnegative"),
+        ],
+    )
+    def test_trace_rejection_is_a_format_error_naming_the_path(self, tmp_path, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("delay_ns,power_linear\n" + rows)
+        with pytest.raises(TraceFormatError, match=message) as info:
+            read_trace_csv(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestImportGraph:

@@ -231,3 +231,37 @@ def test_readme_quickstart_config_populates_every_section(tmp_path):
     block = re.search(r"```yaml\n(.*?)```", quickstart, re.S).group(1)
     cfg = load_run_config(write(tmp_path, block))
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
+
+
+# Documents that fail one validation rule each: (id, document, the field the
+# error names).
+INVALID = [
+    ("not-a-mapping", "- room\n- carrier\n", "mapping of sections"),
+    ("null-section", BASE.replace("carrier: {wavelength_m: 0.005}", "carrier:"), r"\[carrier\]"),
+    ("section-not-a-mapping", BASE.replace("{g: 0.4, gamma: 0.04}", "0.4"),
+     r"\[material\] must be a mapping"),
+    ("missing-key", BASE.replace("lx: 3.0, ", ""), "room.lx"),
+    ("mu_t-without-mu_r", BASE.replace("{xi: 0.0}", "{mu_t: [0.9, 0.1]}"), "antennas.mu_r"),
+    ("wavelength-zero", BASE.replace("wavelength_m: 0.005", "wavelength_m: 0.0"),
+     r"carrier\.wavelength_m' must be > 0"),
+    ("frequency-negative", BASE.replace("wavelength_m: 0.005", "frequency_hz: -6.0e10"),
+     r"carrier\.frequency_hz' must be > 0"),
+    ("step-zero", BASE.replace("step_ns: 0.1", "step_ns: 0.0"), r"grid\.step_ns' must be > 0"),
+    ("step-negative", BASE.replace("step_ns: 0.1", "step_ns: -0.1"),
+     r"grid\.step_ns' must be > 0"),
+    ("stop-at-start", BASE.replace("stop_ns: 60.0", "stop_ns: 0.0"),
+     r"grid\.stop_ns' must exceed 'grid\.start_ns"),
+    ("stop-before-start", BASE.replace("start_ns: 0.0, stop_ns: 60.0",
+                                       "start_ns: 5.0, stop_ns: 1.0"),
+     r"grid\.stop_ns' must exceed 'grid\.start_ns"),
+    ("one-sample-grid", BASE.replace("stop_ns: 60.0", "stop_ns: 0.04"),
+     "grid must contain at least two samples"),
+    ("unknown-method", BASE + "fit: {method: powell}\n", r"fit\.method' must be"),
+    ("invalid-yaml", BASE + "link: {distance_m: 1.8\n", "not valid YAML"),
+]
+
+
+@pytest.mark.parametrize("text, field", [c[1:] for c in INVALID], ids=[c[0] for c in INVALID])
+def test_invalid_documents_name_the_field(tmp_path, text, field):
+    with pytest.raises(ConfigError, match=field):
+        load_run_config(write(tmp_path, text))

@@ -91,6 +91,26 @@ class TestProblemValidation:
             FitProblem(ROOM, LAM, COND, PULSE, co, cross,
                        initial_guess=(0.5, 0.1, 0.05, noise0))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(wavelength=0.0), "wavelength must be > 0"),
+            (dict(wavelength=-LAM), "wavelength must be > 0"),
+            (dict(method="powell"), "method must be one of"),
+            (dict(max_iterations=0), "max_iterations must be >= 1"),
+            (dict(bounds=((0.1, 0.9),) * 2), "bounds must give"),
+            (dict(fit_window=(400e-9, 500e-9)), "does not overlap the grid"),
+            (dict(fit_window=(50e-9, 20e-9)), "does not overlap the grid"),
+        ],
+        ids=["zero-wavelength", "negative-wavelength", "method", "max-iterations",
+             "two-bounds", "window-past-grid", "reversed-window"],
+    )
+    def test_rejects_invalid_settings(self, kw, message):
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        kw = {"wavelength": LAM, **kw}
+        with pytest.raises(ValueError, match=message):
+            FitProblem(room=ROOM, cond=COND, pulse=PULSE, co_trace=co, cross_trace=cross, **kw)
+
 
 class TestResidual:
     def test_zero_at_the_generating_parameters(self):
@@ -204,6 +224,15 @@ class TestFit:
     def test_strong_cross_identification_is_not_flagged(self):
         result = fit(synth_problem(*self.TRUTH))
         assert not result.weakly_identified
+
+    def test_fit_reaching_an_upper_bound_stays_inside_it(self):
+        # the truth gamma = 0.04 lies above the box, so the search runs to
+        # expit(u) = 1, where lo + (hi - lo) rounds to 0.020000000000000004
+        bounds = ((1e-6, 1.0 - 1e-6), (0.002, 0.02), (1e-6, 1.0 - 1e-6))
+        result = fit(synth_problem(*self.TRUTH, bounds=bounds))
+        assert result.gamma == 0.02
+        for value, (lo, hi) in zip((result.g, result.gamma, result.xi), bounds):
+            assert lo <= value <= hi
 
 
 class TestGatedTraces:

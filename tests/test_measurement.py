@@ -67,6 +67,13 @@ class TestObservedPds:
         with pytest.raises(ValueError, match="too coarse"):
             observed_pds(grid, make_params(), None, obs)
 
+    @pytest.mark.parametrize("grid", [np.zeros((2, 4)), np.zeros(1), np.float64(0.0)],
+                             ids=["2-d", "one-sample", "scalar"])
+    def test_rejects_grid_that_is_not_a_1d_array_of_two_samples(self, grid):
+        obs = ObservationParams(pulse=PulseShape("boxcar", 1e9), noise_power=0.0)
+        with pytest.raises(ValueError, match="one-dimensional with at least two samples"):
+            observed_pds(grid, make_params(), None, obs)
+
     def test_high_bandwidth_limit_tracks_the_density(self):
         # widest admissible pulse relative to the grid still spans only
         # ~0.2 ns, far below the decay scale, so the trace follows the
@@ -211,3 +218,8 @@ class TestPdpTrace:
     def test_db_values_may_be_negative_infinite(self):
         tr = PdpTrace(np.arange(2) * 1e-9, np.array([-math.inf, -30.0]), "db")
         assert tr.scale == "db"
+
+    @pytest.mark.parametrize("scale", ["dB", "log", ""])
+    def test_rejects_unknown_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be 'linear' or 'db'"):
+            PdpTrace(np.arange(2) * 1e-9, np.zeros(2), scale)

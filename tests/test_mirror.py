@@ -53,7 +53,9 @@ def full_cube_pdp(room, material, mu_t, mu_r, wavelength, cfg):
     per_axis = [_axis_images(l, c * cfg.max_delay) for l in dims]
     bx, by, bz = np.meshgrid(*(a[2] for a in per_axis), indexing="ij")
     bounces = (bx + by + bz).ravel()
-    dx, dy, dz = np.meshgrid(*(a[3] for a in per_axis), indexing="ij")
+    # the transmitter's own entry on each axis: offset 0, sign +1
+    direct = [(off == 0) & (sign > 0) for off, sign, _ in per_axis]
+    dx, dy, dz = np.meshgrid(*direct, indexing="ij")
     is_direct = (dx & dy & dz).ravel()
 
     g, gamma = material.g, material.gamma
@@ -81,7 +83,7 @@ def full_cube_pdp(room, material, mu_t, mu_r, wavelength, cfg):
         else:
             tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
         d2 = None
-        for i, (off, sign, _, _) in enumerate(per_axis):
+        for i, (off, sign, _) in enumerate(per_axis):
             coord = off[None, :] + sign[None, :] * tx[:, i : i + 1]
             sq = (coord - rx[:, i : i + 1]) ** 2
             if i == 0:
@@ -217,7 +219,7 @@ class TestReachPruning:
         dims, reach, tx, rx = case
         lattice = enumerate_images(RoomGeometry(*dims), reach)
         per_axis = [_axis_images(l, reach) for l in dims]
-        dist = [(off + sign * tx[i] - rx[i]) ** 2 for i, (off, sign, _, _) in enumerate(per_axis)]
+        dist = [(off + sign * tx[i] - rx[i]) ** 2 for i, (off, sign, _) in enumerate(per_axis)]
         near = dist[0][:, None, None] + dist[1][None, :, None] + dist[2][None, None, :] < reach**2
         kept = np.zeros(near.shape, dtype=bool)
         kept[lattice.cells] = True

@@ -238,6 +238,21 @@ class TestTimeConstants:
         assert math.isclose(back.g, g, rel_tol=1e-12)
         assert math.isclose(back.gamma, gamma, rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "t_rev, t_mix, message",
+        [
+            (0.0, 1e-8, "reverberation time"),
+            (-1e-8, 1e-8, "reverberation time"),
+            (math.nan, 1e-8, "reverberation time"),
+            (1e-8, 0.0, "mixing time"),
+            (1e-8, -math.inf, "mixing time"),
+            (1e-8, math.nan, "mixing time"),
+        ],
+    )
+    def test_material_from_times_rejects_nonpositive_times(self, t_rev, t_mix, message):
+        with pytest.raises(ValueError, match=f"{message} must be > 0"):
+            wall_material_from_times(ROOM, t_rev, t_mix)
+
 
 class TestPds:
     def test_zero_delay_value_for_vertical_antennas(self):
