@@ -48,6 +48,7 @@ def _print_derived(p: model.PdsParams) -> None:
 def _write_report(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
     """Every report writes its first column `.6g` and every other as dB `.4f`."""
     io.write_report_csv(path, columns, [io.format_delay_ns] + [io.format_db] * (len(columns) - 1))
+    print(f"wrote {path}")
 
 
 def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, np.ndarray]]:
@@ -61,13 +62,11 @@ def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, n
     ]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.require("grid", "grid")
     tau = cfg.grid
     params = _params(cfg)
     co, cross = (model.pds_conditional(tau, p, cfg.cond) for p in model.channel_pair(params))
-    _write_report(args.out, _curve_columns(tau, co, cross, params))
     _print_derived(params)
     if cfg.cond is not None:
         ratio_d = model.cpr_distance(params, cfg.cond)
@@ -76,12 +75,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         spike = model.direct_path(params, cfg.cond)
         if spike is not None:
             print(f"direct path: delay = {spike.delay * 1e9:.6g} ns, weight = {spike.weight:.6g}")
-    print(f"wrote {args.out}")
+    _write_report(args.out, _curve_columns(tau, co, cross, params))
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.require("sim", "simulation")
     params = _params(cfg)
     sim_cfg = cfg.sim
@@ -94,13 +92,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     co_model, cross_model = (
         model.pds_conditional(co_sim.delays, p, cfg.cond) for p in model.channel_pair(params)
     )
-    _write_report(args.out, [
-        ("delay_ns", co_sim.delays * 1e9),
-        ("co_sim_db", to_db(co_sim.values)),
-        ("cross_sim_db", to_db(cross_sim.values)),
-        ("co_model_db", to_db(co_model)),
-        ("cross_model_db", to_db(cross_model)),
-    ])
     if args.trace_prefix:
         for tag, trace in (("co", co_sim), ("cross", cross_sim)):
             io.write_trace_csv(
@@ -108,12 +99,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 PdpTrace(delays=trace.delays, values=to_db(trace.values), scale="db"),
             )
     print(f"simulated {sim_cfg.n_realizations} realizations (seed {sim_cfg.rng_seed})")
-    print(f"wrote {args.out}")
+    _write_report(args.out, [
+        ("delay_ns", co_sim.delays * 1e9),
+        ("co_sim_db", to_db(co_sim.values)),
+        ("cross_sim_db", to_db(cross_sim.values)),
+        ("co_model_db", to_db(co_model)),
+        ("cross_model_db", to_db(cross_model)),
+    ])
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.require("pulse", "pulse")
     co_trace = io.read_trace_csv(args.co)
     cross_trace = io.read_trace_csv(args.cross)
@@ -143,15 +139,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     columns = _curve_columns(co_trace.delays, co_fit.values, cross_fit.values, fitted_params)
     columns += [("co_meas_db", co_trace.values), ("cross_meas_db", cross_trace.values)]
     _write_report(args.out, columns)
-    print(f"wrote {args.out}")
     if args.strict and not result.converged:
         print("fit did not converge", file=sys.stderr)
         return 4
     return 0
 
 
-def cmd_cpr(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
+def cmd_cpr(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.require("cpr_distances", "cpr")
     params = _params(cfg)
     distances = np.array(cfg.cpr_distances)
@@ -161,7 +155,6 @@ def cmd_cpr(args: argparse.Namespace) -> int:
         cpr_db = [to_db(model.cpr_distance(params, cond)) for cond in conds]
         columns.append((f"cpr_{'los' if los else 'nlos'}_db", np.array(cpr_db)))
     _write_report(args.out, columns)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -208,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_run_config(args.config), args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -132,8 +132,9 @@ def _get(doc: dict, section: str, key: str, kind: str, default=_REQUIRED):
 
 
 def _build(name: str, factory, /, **kwargs):
+    """`factory(**kwargs)`; a None value leaves the factory's own default."""
     try:
-        return factory(**kwargs)
+        return factory(**{key: value for key, value in kwargs.items() if value is not None})
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from exc
 
@@ -184,7 +185,7 @@ def _parse_grid(doc: dict) -> np.ndarray:
 
 
 def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
-    placement = _get(doc, "simulation", "placement", "string", "uniform")
+    placement = _get(doc, "simulation", "placement", "string", None)
     fixed = placement == "fixed"
     if fixed and cond is None:
         raise ConfigError("fixed placement requires the [link] section")
@@ -194,10 +195,10 @@ def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
         n_realizations=_get(doc, "simulation", "realizations", "integer"),
         bin_width=_get(doc, "simulation", "bin_width_ns", "number") * 1e-9,
         max_delay=_get(doc, "simulation", "max_delay_ns", "number") * 1e-9,
-        rng_seed=_get(doc, "simulation", "seed", "integer", 0),
+        rng_seed=_get(doc, "simulation", "seed", "integer", None),
         placement=placement,
         distance=cond.distance if fixed else None,
-        los=cond.los if fixed else True,
+        los=cond.los if fixed else None,
     )
 
 
@@ -239,18 +240,18 @@ def load_run_config(path: str) -> RunConfig:
     if "material" in doc:
         cfg.material = _build(
             "material", WallMaterial, g=_get(doc, "material", "g", "number"),
-            gamma=_get(doc, "material", "gamma", "number", 0.0),
+            gamma=_get(doc, "material", "gamma", "number", None),
         )
     if "antennas" in doc:
         cfg.mu_t, cfg.mu_r = _parse_antennas(doc)
     if "link" in doc:
         cfg.cond = _build(
             "link", DistanceCondition, distance=_get(doc, "link", "distance_m", "number"),
-            los=_get(doc, "link", "los", "boolean", False),
+            los=_get(doc, "link", "los", "boolean", None),
         )
     if "pulse" in doc:
         cfg.pulse = _build(
-            "pulse", PulseShape, kind=_get(doc, "pulse", "kind", "string", "boxcar"),
+            "pulse", PulseShape, kind=_get(doc, "pulse", "kind", "string", None),
             bandwidth=_get(doc, "pulse", "bandwidth_hz", "number"),
         )
     if "grid" in doc:

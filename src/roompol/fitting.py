@@ -27,6 +27,7 @@ from .model import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    _require_positive,
     channel_pair,
 )
 
@@ -67,8 +68,7 @@ class FitProblem:
     window_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        _require_positive("wavelength", self.wavelength)
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
             if tr.scale != "db":
                 raise ValueError(f"{name} trace must be in dB, got scale {tr.scale!r}")
@@ -76,6 +76,9 @@ class FitProblem:
             raise ValueError("co and cross traces must share one delay grid")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        # `_trf` stops when its evaluation count equals the budget
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         noise0 = self.initial_guess[3]

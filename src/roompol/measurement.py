@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DistanceCondition, PdsParams, direct_path, pds_conditional
+from .model import DistanceCondition, PdsParams, _require_positive, direct_path, pds_conditional
 
 _PULSE_KINDS = ("boxcar", "gaussian")
 # -3 dB matched width factor for the gaussian pulse: std = 1 / (2 pi B * 0.3)
 _GAUSSIAN_WIDTH_FACTOR = 0.3
+_MAX_PULSE_TAPS = 10**7  # taps on each side of the pulse centre that pulse_taps may tabulate
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class PulseShape:
     def __post_init__(self) -> None:
         if self.kind not in _PULSE_KINDS:
             raise ValueError(f"pulse kind must be one of {_PULSE_KINDS}, got {self.kind!r}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"pulse bandwidth must be > 0, got {self.bandwidth}")
+        _require_positive("pulse bandwidth", self.bandwidth)
 
     def power_profile(self, t) -> np.ndarray:
         """Continuous |s(t)|^2 with unit analytic energy, centered at t = 0."""
@@ -66,8 +66,8 @@ class ObservationParams:
     noise_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_power < 0:
-            raise ValueError(f"noise power must be >= 0, got {self.noise_power}")
+        if not 0.0 <= self.noise_power < math.inf:
+            raise ValueError(f"noise power must be finite and >= 0, got {self.noise_power}")
 
 
 @dataclass
@@ -117,12 +117,15 @@ def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
     """
     if not spacing > 0:
         raise ValueError(f"grid spacing must be > 0, got {spacing}")
-    k = int(math.ceil(pulse.half_support() / spacing)) + 1
+    half = pulse.half_support() / spacing
+    if not half <= _MAX_PULSE_TAPS:
+        raise ValueError(
+            f"pulse bandwidth {pulse.bandwidth:.4g} Hz needs more than {_MAX_PULSE_TAPS} taps "
+            f"each side of its centre on a {spacing:.4g} s grid"
+        )
+    k = int(math.ceil(half)) + 1
     raw = pulse.power_profile(np.arange(-k, k + 1) * spacing)
-    total = raw.sum() * spacing
-    if total <= 0:
-        raise ValueError("pulse tabulation produced no support on the grid")
-    return raw / total
+    return raw / (raw.sum() * spacing)
 
 
 def convolve_density(grid: np.ndarray, density, pulse: PulseShape) -> np.ndarray:
@@ -142,10 +145,8 @@ def convolve_density(grid: np.ndarray, density, pulse: PulseShape) -> np.ndarray
     return np.convolve(samples, taps, mode="valid") * step
 
 
-def _spike_bump(grid: np.ndarray, delay: float, weight: float, pulse: PulseShape) -> np.ndarray:
+def _spike_bump(grid: np.ndarray, step: float, delay: float, weight: float, pulse) -> np.ndarray:
     """Pulse-shaped density bump of discrete energy `weight` centered at `delay`."""
-    grid = np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
     # Normalize on a virtual unbounded grid sharing the fractional offset of
     # `delay`, so integer-step shifts reproduce the bump shape exactly and
     # the deposited energy equals `weight` whenever the support is in range.
@@ -182,7 +183,7 @@ def observed_pds(
     values = convolve_density(grid, lambda t: pds_conditional(t, p, cond), obs.pulse)
     spike = direct_path(p, cond)
     if spike is not None:
-        values = values + _spike_bump(grid, spike.delay, spike.weight, obs.pulse)
+        values = values + _spike_bump(grid, step, spike.delay, spike.weight, obs.pulse)
     values = values + obs.noise_power
     return PdpTrace(delays=grid.copy(), values=values, scale="linear")
 

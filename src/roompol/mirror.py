@@ -49,6 +49,7 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     _mu_products,
+    _require_positive,
     _rho_power,
     bounce_split,
     channel_pair,
@@ -188,8 +189,7 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
     The full cube is built before pruning, so its cell count, which grows as
     reach**3, is checked against `_MAX_CUBE_CELLS` before any array exists.
     """
-    if not 0 < reach < math.inf:
-        raise ValueError(f"reach must be finite and > 0, got {reach}")
+    _require_positive("reach", reach)
     dims = (room.lx, room.ly, room.lz)
     n_cube = math.prod(sum(hi - lo + 1 for lo, hi in _axis_p_ranges(l, reach)) for l in dims)
     if n_cube > _MAX_CUBE_CELLS:

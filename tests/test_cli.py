@@ -255,6 +255,16 @@ class TestFit:
         assert code == 2
         assert "co trace must be in dB" in capsys.readouterr().err
 
+    def test_pulse_too_wide_for_the_grid_is_a_validation_error(self, tmp_path, capsys):
+        config, paths = self.make_inputs(tmp_path)
+        text = open(config).read().replace("{kind: boxcar, bandwidth_hz: 0.5e9}",
+                                           "{kind: gaussian, bandwidth_hz: 1.0e-300}")
+        config = write_config(tmp_path, text, name="wide.yaml")
+        code = main(["fit", "--config", config, "--co", paths["co"],
+                     "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "pulse bandwidth 1e-300 Hz needs more than" in capsys.readouterr().err
+
     def test_fit_recovers_parameters_from_eval_exported_curves(self, tmp_path, capsys):
         """Round trip through the file layer: eval curves + noise floor -> fit."""
         truth_noise = 1e-11
@@ -371,6 +381,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_unwritable_eval_report_fails_after_the_derived_values(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "no" / "x.csv")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("T = ") and "wrote" not in captured.out
+        assert captured.err.startswith("I/O error: ")
+
+    def test_unwritable_simulate_report_fails_after_the_traces(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TestSimulate.SIM)
+        prefix = tmp_path / "pdp"
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "no" / "x.csv"),
+                     "--trace-prefix", str(prefix)])
+        assert code == 3
+        assert capsys.readouterr().out == "simulated 1500 realizations (seed 11)\n"
+        assert read_trace_csv(f"{prefix}_cross.csv").delays.size == 20
+
     def test_invalid_config_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE.replace("g: 0.4", "g: 1.4"))
         code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -475,6 +502,20 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match=rf"row {len(lines) - 1}: bad {field} value"):
             read_trace_csv(str(path))
+
+    @pytest.mark.parametrize("field", ["delay", "power"])
+    def test_non_numeric_text_is_rejected_with_the_row(self, tmp_path, field):
+        path = tmp_path / "trace.csv"
+        row = "abc,-20" if field == "delay" else "1,abc"
+        path.write_text(f"delay_ns,power_db\n0,-10\n{row}\n")
+        with pytest.raises(TraceFormatError, match=f"row 3: bad {field} value 'abc'"):
+            read_trace_csv(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("\ndelay_ns,power_db\n0,-10\n   \n\n1,-20\n\n")
+        trace = read_trace_csv(str(path))
+        npt.assert_array_equal(trace.values, [-10.0, -20.0])
 
     @pytest.mark.parametrize("scale, note", [("db", "linear"), ("linear", "db")])
     def test_scale_comment_disagreeing_with_the_header_is_rejected(self, tmp_path, scale, note):

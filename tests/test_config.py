@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from roompol import DistanceCondition, PulseShape, SimConfig, WallMaterial
 from roompol.config import ConfigError, load_run_config
 
 BASE = """\
@@ -96,6 +97,30 @@ def test_link_and_simulation_sections(tmp_path):
     assert cfg.sim.placement == "fixed"
     assert cfg.sim.distance == pytest.approx(1.8)
     assert cfg.sim.bin_width == pytest.approx(1e-9)
+
+
+def test_absent_optional_keys_keep_the_types_defaults(tmp_path):
+    text = BASE.replace("material: {g: 0.4, gamma: 0.04}", "material: {g: 0.4}") + (
+        "link: {distance_m: 1.8}\n"
+        "pulse: {bandwidth_hz: 1.0e9}\n"
+        "simulation: {realizations: 1000, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
+    )
+    cfg = load_run_config(write(tmp_path, text))
+    assert cfg.material == WallMaterial(g=0.4)
+    assert cfg.cond == DistanceCondition(distance=1.8)
+    assert cfg.pulse == PulseShape(bandwidth=1e9)
+    assert cfg.sim == SimConfig(n_realizations=1000, bin_width=1e-9, max_delay=20e-9)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("material", "gamma"), ("link", "los"), ("pulse", "kind"),
+    ("simulation", "seed"), ("simulation", "placement"),
+])
+def test_explicit_null_for_an_optional_key_is_rejected(tmp_path, section, key):
+    doc = copy.deepcopy(FULL)
+    doc[section][key] = None
+    with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be .*, got None"):
+        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
 
 
 def test_fixed_placement_requires_link(tmp_path):

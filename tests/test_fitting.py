@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,11 +100,14 @@ class TestProblemValidation:
             (dict(wavelength=-LAM), "wavelength must be > 0"),
             (dict(method="powell"), "method must be one of"),
             (dict(max_iterations=0), "max_iterations must be >= 1"),
+            (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+            (dict(wavelength=math.inf), "wavelength must be finite"),
             (dict(bounds=((0.1, 0.9),) * 2), "bounds must give"),
             (dict(fit_window=(400e-9, 500e-9)), "does not overlap the grid"),
             (dict(fit_window=(50e-9, 20e-9)), "does not overlap the grid"),
         ],
         ids=["zero-wavelength", "negative-wavelength", "method", "max-iterations",
+             "fractional-max-iterations", "infinite-wavelength",
              "two-bounds", "window-past-grid", "reversed-window"],
     )
     def test_rejects_invalid_settings(self, kw, message):
@@ -110,6 +115,12 @@ class TestProblemValidation:
         kw = {"wavelength": LAM, **kw}
         with pytest.raises(ValueError, match=message):
             FitProblem(room=ROOM, cond=COND, pulse=PULSE, co_trace=co, cross_trace=cross, **kw)
+
+    def test_numpy_integer_budget_is_accepted(self):
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        runs = [fit(FitProblem(ROOM, LAM, COND, PULSE, co, cross, max_iterations=n))
+                for n in (3, np.int64(3))]
+        assert runs[0].iterations == runs[1].iterations
 
 
 class TestResidual:
@@ -366,6 +377,55 @@ class TestTrustRegionPort:
         theirs = self.fit_with_scipy(problem, monkeypatch)
         assert (ours.iterations, ours.converged) == (theirs.iterations, theirs.converged)
         npt.assert_array_equal(self.values(ours), self.values(theirs))
+
+    def trf_both(self, fun, jac, x0, monkeypatch):
+        """(x, converged, evaluated points) of `_trf` on scipy's SVD and of scipy's trf."""
+        import scipy.linalg
+
+        runs = []
+        for search in (fitting._trf, self.scipy_trf):
+            points = []
+
+            def counted(x):
+                points.append(x.copy())
+                return fun(x)
+
+            with monkeypatch.context() as m:
+                m.setattr(fitting, "svd", scipy.linalg.svd)
+                x, converged = search(counted, jac, np.array(x0), 100)
+            runs.append((x, converged, points))
+        return runs
+
+    # r = exp(0.3 (x0 + x1)) - b has a rank-one Jacobian everywhere, so no
+    # Gauss-Newton step exists and the first step seeds the LM parameter.
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (1.0, -2.0), (-3.0, 0.5), (4.0, 4.0)])
+    def test_rank_deficient_steps_are_scipys(self, monkeypatch, x0):
+        b = np.array([1.0, 2.0, 4.0])
+        fun = lambda x: np.exp(0.3 * (x[0] + x[1])) - b
+        jac = lambda x: np.full((b.size, 2), 0.3 * np.exp(0.3 * (x[0] + x[1])))
+        assert np.linalg.matrix_rank(jac(np.array(x0))) == 1
+        (ours, ours_ok, ours_at), (theirs, theirs_ok, theirs_at) = self.trf_both(
+            fun, jac, x0, monkeypatch)
+        npt.assert_array_equal(ours, theirs)
+        assert ours_ok and theirs_ok and len(ours_at) == len(theirs_at)
+        assert math.exp(0.3 * ours.sum()) == pytest.approx(b.mean(), rel=1e-9)
+
+    # Residuals that are inf outside |x| < 3: a trial point past that edge
+    # shrinks the trust region and is retried, as in scipy.
+    @pytest.mark.parametrize("x0", [(-2.0, -2.0), (1.0, 2.0), (2.9, -2.9)])
+    def test_non_finite_trial_points_shrink_the_region_as_in_scipy(self, monkeypatch, x0):
+        target = np.array([10.0, 15.0])
+
+        def fun(x):
+            return np.exp(x) - target if np.max(np.abs(x)) < 3.0 else np.full(2, np.inf)
+
+        jac = lambda x: np.diag(np.exp(x))
+        (ours, ours_ok, ours_at), (theirs, theirs_ok, theirs_at) = self.trf_both(
+            fun, jac, x0, monkeypatch)
+        assert any(np.max(np.abs(x)) >= 3.0 for x in ours_at)
+        npt.assert_array_equal(ours, theirs)
+        assert ours_ok and theirs_ok and len(ours_at) == len(theirs_at)
+        npt.assert_allclose(ours, np.log(target), rtol=1e-9)
 
 
 class TestPredict:

@@ -22,6 +22,7 @@ from roompol import (
     pds_conditional,
     reverberation_time,
 )
+from roompol import measurement
 from roompol.measurement import convolve_density, from_db, pulse_taps, to_db
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
@@ -58,6 +59,34 @@ class TestPulse:
     def test_rejects_negative_noise_power(self):
         with pytest.raises(ValueError, match="noise power"):
             ObservationParams(pulse=PulseShape(), noise_power=-1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
+    def test_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="pulse bandwidth must be"):
+            PulseShape(kind="boxcar", bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("noise", [math.inf, math.nan])
+    def test_rejects_non_finite_noise_power(self, noise):
+        with pytest.raises(ValueError, match="noise power must be finite and >= 0"):
+            ObservationParams(pulse=PulseShape(), noise_power=noise)
+
+    @pytest.mark.parametrize("spacing", [0.0, -1e-10, math.nan])
+    def test_taps_reject_a_nonpositive_spacing(self, spacing):
+        with pytest.raises(ValueError, match="grid spacing must be > 0"):
+            pulse_taps(PulseShape(), spacing)
+
+    def test_pulse_too_wide_for_the_grid_is_rejected_before_tabulation(self):
+        with pytest.raises(ValueError, match="pulse bandwidth 1e-300 Hz needs more than 10000000"):
+            pulse_taps(PulseShape(kind="gaussian", bandwidth=1e-300), 0.5e-9)
+
+    def test_tap_cap_is_exact(self, monkeypatch):
+        # a boxcar of bandwidth 1/8 on a unit grid reaches exactly 4 steps each side
+        pulse = PulseShape(kind="boxcar", bandwidth=0.125)
+        monkeypatch.setattr(measurement, "_MAX_PULSE_TAPS", 4)
+        assert pulse_taps(pulse, 1.0).size == 11
+        monkeypatch.setattr(measurement, "_MAX_PULSE_TAPS", 3)
+        with pytest.raises(ValueError, match="more than 3 taps"):
+            pulse_taps(pulse, 1.0)
 
 
 class TestObservedPds:
@@ -189,6 +218,15 @@ class TestDbConversion:
         tr = PdpTrace(np.arange(2) * 1e-9, np.array([1.0, 1.0]), "linear")
         with pytest.raises(ValueError, match="target scale"):
             db_linear_convert(tr, "bels")
+
+    @pytest.mark.parametrize("scale", ["linear", "db"])
+    def test_conversion_to_its_own_scale_is_a_copy(self, scale):
+        tr = PdpTrace(np.arange(2) * 1e-9, np.array([1.0, 2.0]), scale)
+        out = db_linear_convert(tr, scale)
+        assert out.scale == scale
+        npt.assert_array_equal(out.values, tr.values)
+        out.values[0] = 5.0
+        assert tr.values[0] == 1.0
 
 
 class TestPdpTrace:

@@ -159,6 +159,11 @@ class TestEnumerateImages:
         with pytest.raises(ValueError, match="reach"):
             enumerate_images(ROOM, reach=math.inf)
 
+    @pytest.mark.parametrize("tx", [[1.0, 2.0], [[1.0, 2.0, 1.5]]])
+    def test_rejects_a_transmitter_that_is_not_a_3_vector(self, tx):
+        with pytest.raises(ValueError, match="3-vector"):
+            enumerate_images(ROOM, reach=5.0).positions(tx)
+
     def test_cube_cap_is_exact(self, monkeypatch):
         # 1859 cells at 31 ns (TestReachPruning.test_kept_cell_counts)
         reach = SPEED_OF_LIGHT * 31e-9
