@@ -164,15 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polarimetric reverberation model for in-room radio channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, help="run config (YAML)")
+    shared.add_argument("--out", required=True, help="report CSV to write")
 
-    p_eval = sub.add_parser("eval", help="evaluate model curves onto a CSV")
-    p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--out", required=True)
+    p_eval = sub.add_parser("eval", parents=[shared], help="evaluate model curves onto a CSV")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sim = sub.add_parser("simulate", help="run the mirror-source Monte Carlo")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", required=True)
+    p_sim = sub.add_parser("simulate", parents=[shared], help="run the mirror-source Monte Carlo")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--workers", type=int, default=None,
                        help="worker processes (default 1), capped by the chunk count and the "
@@ -181,18 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write per-channel trace CSVs with this prefix")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="fit model parameters to measured PDP traces")
-    p_fit.add_argument("--config", required=True)
+    p_fit = sub.add_parser("fit", parents=[shared],
+                           help="fit model parameters to measured PDP traces")
     p_fit.add_argument("--co", required=True, help="co-polarized trace CSV (dB)")
     p_fit.add_argument("--cross", required=True, help="cross-polarized trace CSV (dB)")
-    p_fit.add_argument("--out", required=True, help="fitted-curve CSV")
     p_fit.add_argument("--strict", action="store_true",
                        help="exit with code 4 when the fit does not converge")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_cpr = sub.add_parser("cpr", help="tabulate CPR versus distance")
-    p_cpr.add_argument("--config", required=True)
-    p_cpr.add_argument("--out", required=True)
+    p_cpr = sub.add_parser("cpr", parents=[shared], help="tabulate CPR versus distance")
     p_cpr.set_defaults(func=cmd_cpr)
 
     return parser

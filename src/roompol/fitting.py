@@ -27,6 +27,7 @@ from .model import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    _require_int,
     _require_positive,
     channel_pair,
 )
@@ -77,13 +78,9 @@ class FitProblem:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         # `_trf` stops when its evaluation count equals the budget
-        if not isinstance(self.max_iterations, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        noise0 = self.initial_guess[3]
-        if noise0 is not None and not noise0 > 0:
-            raise ValueError(f"initial noise power must be > 0 or None, got {noise0}")
+        _require_int("max_iterations", self.max_iterations, 1)
+        if self.initial_guess[3] is not None:
+            _require_positive("initial noise power", self.initial_guess[3])
         if len(self.bounds) != 3:
             raise ValueError("bounds must give (low, high) for each of g, gamma, xi")
         for name, (lo, hi) in zip(("g", "gamma", "xi"), self.bounds):
@@ -164,8 +161,7 @@ def residual(params, problem: FitProblem) -> np.ndarray:
     for name, value, (lo, hi) in zip(("g", "gamma", "xi"), (g, gamma, xi), problem.bounds):
         if not lo <= value <= hi:
             raise ValueError(f"parameter {name}={value} outside bounds ({lo}, {hi})")
-    if not noise > 0:
-        raise ValueError(f"noise power must be > 0, got {noise}")
+    _require_positive("noise power", noise)
     mask = problem.window_mask
     co, cross = _model_traces(params, problem, problem.cond)
     res_co = to_db(co.values[mask]) - problem.co_trace.values[mask]

@@ -121,9 +121,10 @@ def read_trace_csv(path: str) -> PdpTrace:
 def write_report_csv(path: str, columns: list[tuple[str, np.ndarray]], formatters) -> None:
     """Write a plot-ready table; `formatters` maps one callable per column."""
     names = [name for name, _ in columns]
-    n = len(columns[0][1])
+    # Python floats format like np.float64, and a list indexes faster than an array
+    cells = [col.tolist() for _, col in columns]
     lines = ["# roompol report", _DB_REFERENCE_NOTE, ",".join(names)]
-    for i in range(n):
-        lines.append(",".join(fmt(col[i]) for (_, col), fmt in zip(columns, formatters)))
+    for row in zip(*cells):
+        lines.append(",".join(fmt(x) for x, fmt in zip(row, formatters)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

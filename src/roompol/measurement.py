@@ -115,8 +115,7 @@ def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
     Taps are renormalized so that sum(taps) * spacing = 1 exactly, making the
     discrete convolution energy preserving.
     """
-    if not spacing > 0:
-        raise ValueError(f"grid spacing must be > 0, got {spacing}")
+    _require_positive("grid spacing", spacing)
     half = pulse.half_support() / spacing
     if not half <= _MAX_PULSE_TAPS:
         raise ValueError(

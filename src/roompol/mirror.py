@@ -49,6 +49,7 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     _mu_products,
+    _require_int,
     _require_positive,
     _rho_power,
     bounce_split,
@@ -87,12 +88,9 @@ class SimConfig:
     los: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_realizations < 1:
-            raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not 0 < self.bin_width < math.inf:
-            raise ValueError(f"bin_width must be finite and > 0, got {self.bin_width}")
+        _require_int("n_realizations", self.n_realizations, 1)
+        _require_int("rng_seed", self.rng_seed, 0)
+        _require_positive("bin_width", self.bin_width)
         if not self.bin_width < self.max_delay < math.inf:
             raise ValueError(
                 f"max_delay ({self.max_delay}) must be finite and exceed "
@@ -101,8 +99,9 @@ class SimConfig:
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
         if self.placement == "fixed":
-            if self.distance is None or not self.distance > 0:
+            if self.distance is None:
                 raise ValueError("fixed placement requires a positive distance")
+            _require_positive("distance", self.distance)
         elif self.distance is not None:
             raise ValueError("distance is only meaningful for fixed placement")
         elif not self.los:

@@ -21,10 +21,17 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 def _require_positive(name: str, value: float) -> None:
     """Raise a `ValueError` naming `name` unless 0 < value < inf."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
+    if not 0 < value < math.inf:
+        finite = "" if value <= 0 else " and finite"  # +inf or NaN
+        raise ValueError(f"{name} must be > 0{finite}, got {value}")
+
+
+def _require_int(name: str, value: int, minimum: int) -> None:
+    """Raise a `ValueError` naming `name` unless `value` is a non-bool integer >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,7 @@ def wall_material_from_times(room: RoomGeometry, t_rev: float, t_mix: float) -> 
 
     `t_mix` may be +inf, which maps to gamma = 0.
     """
-    if not t_rev > 0:
-        raise ValueError(f"reverberation time must be > 0, got {t_rev}")
+    _require_positive("reverberation time", t_rev)
     if not t_mix > 0:
         raise ValueError(f"mixing time must be > 0, got {t_mix}")
     scale = 4.0 * room.volume() / (SPEED_OF_LIGHT * room.surface())

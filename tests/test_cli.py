@@ -229,7 +229,7 @@ class TestFit:
     def test_malformed_row_is_named(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
         broken = tmp_path / "broken.csv"
-        lines = open(paths["co"]).read().splitlines()
+        lines = Path(paths["co"]).read_text().splitlines()
         lines[10] = "not,a,row"
         broken.write_text("\n".join(lines) + "\n")
         code = main(["fit", "--config", config, "--co", str(broken),
@@ -257,8 +257,8 @@ class TestFit:
 
     def test_pulse_too_wide_for_the_grid_is_a_validation_error(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
-        text = open(config).read().replace("{kind: boxcar, bandwidth_hz: 0.5e9}",
-                                           "{kind: gaussian, bandwidth_hz: 1.0e-300}")
+        text = Path(config).read_text().replace("{kind: boxcar, bandwidth_hz: 0.5e9}",
+                                                "{kind: gaussian, bandwidth_hz: 1.0e-300}")
         config = write_config(tmp_path, text, name="wide.yaml")
         code = main(["fit", "--config", config, "--co", paths["co"],
                      "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
@@ -306,7 +306,7 @@ class TestFit:
 
     def test_strict_flag_reports_non_convergence(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
-        text = open(config).read().replace(
+        text = Path(config).read_text().replace(
             "fit: {g0: 0.5, gamma0: 0.1, xi0: 0.05, noise0: 1.0e-10}",
             "fit: {g0: 0.5, gamma0: 0.1, xi0: 0.05, noise0: 1.0e-10, max_iterations: 3}",
         )
@@ -318,7 +318,7 @@ class TestFit:
 
     def test_fit_reaching_an_upper_bound_exits_cleanly(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
-        text = open(config).read().replace(
+        text = Path(config).read_text().replace(
             "fit: {g0: 0.5, gamma0: 0.1, xi0: 0.05, noise0: 1.0e-10}",
             "fit: {bounds_gamma: [0.002, 0.02]}",
         )
@@ -475,7 +475,7 @@ class TestTraceCsv:
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), trace)
-        content = open(path).read()
+        content = path.read_text()
         assert ",\n" in content  # the empty sentinel field
         back = read_trace_csv(str(path))
         assert back.values[1] == -math.inf

@@ -86,7 +86,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="bounds"):
             FitProblem(ROOM, LAM, COND, PULSE, co, cross, bounds=((0.0, 1.0),) * 3)
 
-    @pytest.mark.parametrize("noise0", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("noise0", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_initial_noise(self, noise0):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
         with pytest.raises(ValueError, match="initial noise power"):
@@ -101,14 +101,15 @@ class TestProblemValidation:
             (dict(method="powell"), "method must be one of"),
             (dict(max_iterations=0), "max_iterations must be >= 1"),
             (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
-            (dict(wavelength=math.inf), "wavelength must be finite"),
+            (dict(wavelength=math.inf), "wavelength must be > 0 and finite"),
             (dict(bounds=((0.1, 0.9),) * 2), "bounds must give"),
             (dict(fit_window=(400e-9, 500e-9)), "does not overlap the grid"),
             (dict(fit_window=(50e-9, 20e-9)), "does not overlap the grid"),
+            (dict(max_iterations=True), "max_iterations must be an integer, got True"),
         ],
         ids=["zero-wavelength", "negative-wavelength", "method", "max-iterations",
              "fractional-max-iterations", "infinite-wavelength",
-             "two-bounds", "window-past-grid", "reversed-window"],
+             "two-bounds", "window-past-grid", "reversed-window", "bool-max-iterations"],
     )
     def test_rejects_invalid_settings(self, kw, message):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)

@@ -70,7 +70,7 @@ class TestPulse:
         with pytest.raises(ValueError, match="noise power must be finite and >= 0"):
             ObservationParams(pulse=PulseShape(), noise_power=noise)
 
-    @pytest.mark.parametrize("spacing", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("spacing", [0.0, -1e-10, math.nan, math.inf])
     def test_taps_reject_a_nonpositive_spacing(self, spacing):
         with pytest.raises(ValueError, match="grid spacing must be > 0"):
             pulse_taps(PulseShape(), spacing)

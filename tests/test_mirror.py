@@ -461,6 +461,13 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="bin_width.*finite"):
                 SimConfig(n_realizations=1, bin_width=bad, max_delay=10e-9)
 
+    @pytest.mark.parametrize("key", ["n_realizations", "rng_seed"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_integers(self, key, value):
+        kw = {"n_realizations": 10, "bin_width": 1e-9, "max_delay": 10e-9, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value}"):
+            SimConfig(**kw)
+
     def test_placement_validation(self):
         with pytest.raises(ValueError, match="placement"):
             SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10e-9, placement="grid")

@@ -244,6 +244,7 @@ class TestTimeConstants:
             (0.0, 1e-8, "reverberation time"),
             (-1e-8, 1e-8, "reverberation time"),
             (math.nan, 1e-8, "reverberation time"),
+            (math.inf, 1e-8, "reverberation time"),
             (1e-8, 0.0, "mixing time"),
             (1e-8, -math.inf, "mixing time"),
             (1e-8, math.nan, "mixing time"),
