@@ -1,14 +1,13 @@
 """Command-line surface: eval | simulate | fit | cpr.
 
-Every command is a deterministic function of its config file, input files,
-and seed. Exit codes: 0 success, 2 validation failure, 3 I/O failure,
+Every command is a deterministic function of its config file and input
+files. Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 4 fit did not converge under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -82,11 +81,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.require("sim", "simulation")
     params = _params(cfg)
-    sim_cfg = cfg.sim
-    if args.seed is not None:
-        sim_cfg = dataclasses.replace(sim_cfg, rng_seed=args.seed)
     co_sim, cross_sim = mirror.simulate_pdp(
-        cfg.room, cfg.material, cfg.mu_t, cfg.mu_r, cfg.wavelength, sim_cfg,
+        cfg.room, cfg.material, cfg.mu_t, cfg.mu_r, cfg.wavelength, cfg.sim,
         workers=args.workers,
     )
     co_model, cross_model = (
@@ -98,7 +94,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{args.trace_prefix}_{tag}.csv",
                 PdpTrace(delays=trace.delays, values=to_db(trace.values), scale="db"),
             )
-    print(f"simulated {sim_cfg.n_realizations} realizations (seed {sim_cfg.rng_seed})")
+    print(f"simulated {cfg.sim.n_realizations} realizations (seed {cfg.sim.rng_seed})")
     _write_report(args.out, [
         ("delay_ns", co_sim.delays * 1e9),
         ("co_sim_db", to_db(co_sim.values)),
@@ -172,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", parents=[shared], help="run the mirror-source Monte Carlo")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--workers", type=int, default=None,
+    p_sim.add_argument("--workers", type=int, default=1,
                        help="worker processes (default 1), capped by the chunk count and the "
                             "available CPUs; results never depend on it")
     p_sim.add_argument("--trace-prefix", default=None,

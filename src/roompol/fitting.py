@@ -79,9 +79,11 @@ class FitProblem:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         # `_trf` stops when its evaluation count equals the budget
         _require_int("max_iterations", self.max_iterations, 1)
+        if len(self.initial_guess) != 4:
+            raise ValueError("initial_guess must give (g, gamma, xi, noise power or None)")
         if self.initial_guess[3] is not None:
             _require_positive("initial noise power", self.initial_guess[3])
-        if len(self.bounds) != 3:
+        if len(self.bounds) != 3 or any(len(b) != 2 for b in self.bounds):
             raise ValueError("bounds must give (low, high) for each of g, gamma, xi")
         for name, (lo, hi) in zip(("g", "gamma", "xi"), self.bounds):
             if not (0.0 < lo < hi < 1.0):
@@ -119,7 +121,6 @@ class FitResult:
     iterations: int
     converged: bool
     weakly_identified: bool
-    objective_final: float
     objective_history: np.ndarray
 
 
@@ -386,7 +387,6 @@ def fit(problem: FitProblem) -> FitResult:
         if lo <= folded <= hi:
             xi = folded
     final_res = residual((g, gamma, xi, noise), problem)
-    objective_final = float(np.dot(final_res, final_res))
 
     cross_peak = float(np.max(problem.cross_trace.values[problem.window_mask]))
     weakly_identified = bool(cross_peak < to_db(floor) + 3.0)
@@ -400,7 +400,6 @@ def fit(problem: FitProblem) -> FitResult:
         iterations=len(history),
         converged=converged,
         weakly_identified=weakly_identified,
-        objective_final=objective_final,
         objective_history=np.array(history),
     )
 

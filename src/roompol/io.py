@@ -1,4 +1,4 @@
-"""CSV formats: full-precision PDP traces and formatted report tables.
+"""CSV formats: full-precision dB PDP traces and formatted report tables.
 
 Conventions shared by every file: comma separation, '.' decimal separator,
 a header row after '#' comment lines, delays in nanoseconds, and -inf dB
@@ -31,14 +31,15 @@ def format_db(value: float) -> str:
 
 
 def write_trace_csv(path: str, trace: PdpTrace) -> None:
-    """Write a PDP trace at full precision so a read round-trips exactly.
+    """Write a dB PDP trace at full precision so a read round-trips exactly.
 
-    -inf is written as the empty field. +inf and NaN have no spelling the
-    reader accepts, so they raise `ValueError` naming the sample index.
+    A linear trace raises `ValueError`: trace files hold dB only. -inf is
+    written as the empty field. +inf and NaN have no spelling the reader
+    accepts, so they raise `ValueError` naming the sample index.
     """
-    unit = "power_db" if trace.scale == "db" else "power_linear"
-    lines = ["# roompol pdp trace", f"# scale: {trace.scale}", _DB_REFERENCE_NOTE]
-    lines.append(f"delay_ns,{unit}")
+    if trace.scale != "db":
+        raise ValueError(f"trace CSVs hold dB only, got scale {trace.scale!r}")
+    lines = ["# roompol pdp trace", "# scale: db", _DB_REFERENCE_NOTE, "delay_ns,power_db"]
     for i, (delay, value) in enumerate(zip(trace.delays, trace.values)):
         if value == -math.inf:
             v = ""
@@ -64,32 +65,31 @@ def _finite_field(path: str, row_no: int, what: str, text: str) -> float:
 
 
 def read_trace_csv(path: str) -> PdpTrace:
-    """Read a trace written by `write_trace_csv`; empty power fields become -inf.
+    """Read a dB trace written by `write_trace_csv`; empty power fields become -inf.
 
     Any other non-numeric or non-finite field (`nan`, `inf`, `-inf`) is
     rejected with the row named: the empty field is the one spelling of -inf.
-    The header's power column sets the scale; a `# scale:` comment that
-    disagrees with it is rejected with its row named.
+    The header must be `delay_ns,power_db`, and a `# scale:` comment other
+    than `db` is rejected with its row named.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     header = None
     delays: list[float] = []
     values: list[float] = []
-    scale_notes: list[tuple[int, str]] = []
     for row_no, line in enumerate(raw, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
             if stripped.lower().startswith("# scale:"):
-                scale_notes.append((row_no, stripped.split(":", 1)[1].strip()))
+                note = stripped.split(":", 1)[1].strip()
+                if note != "db":
+                    raise TraceFormatError(f"{path}: row {row_no}: '# scale: {note}', expected db")
             continue
         if header is None:
             header = [f.strip() for f in stripped.split(",")]
-            if len(header) != 2 or header[0] != "delay_ns" or header[1] not in (
-                "power_db", "power_linear"
-            ):
+            if header != ["delay_ns", "power_db"]:
                 raise TraceFormatError(f"{path}: row {row_no}: unexpected header {stripped!r}")
             continue
         fields = stripped.split(",")
@@ -104,16 +104,10 @@ def read_trace_csv(path: str) -> PdpTrace:
             value = _finite_field(path, row_no, "power", fields[1])
         delays.append(delay * 1e-9)
         values.append(value)
-    if header is None or not delays:
+    if not delays:  # rows are read only after the header
         raise TraceFormatError(f"{path}: no trace rows found")
-    scale = "db" if header[1] == "power_db" else "linear"
-    for row_no, note in scale_notes:
-        if note != scale:
-            raise TraceFormatError(
-                f"{path}: row {row_no}: '# scale: {note}' disagrees with the {header[1]} header"
-            )
     try:
-        return PdpTrace(delays=np.array(delays), values=np.array(values), scale=scale)
+        return PdpTrace(delays=np.array(delays), values=np.array(values), scale="db")
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 

@@ -357,7 +357,7 @@ def simulate_pdp(
     mu_r: PolGain,
     wavelength: float,
     cfg: SimConfig,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[PdpTrace, PdpTrace]:
     """Estimate co- and cross-channel power delay profiles by Monte Carlo.
 
@@ -377,6 +377,7 @@ def simulate_pdp(
     seeds, reduced in chunk order. The chunks run in a pool of min(workers,
     chunks, available CPUs) processes, or in this process if that is one.
     """
+    _require_int("workers", workers, 1)
     p = PdsParams(room=room, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=wavelength)
     if cfg.placement == "fixed" and cfg.distance >= room.diagonal():
         raise ValueError(
@@ -414,7 +415,7 @@ def simulate_pdp(
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(max(1, workers or 1), len(sizes), cpus or 1)
+    n_workers = min(workers, len(sizes), cpus or 1)
 
     if n_workers > 1:
         # imported here so single-worker runs skip concurrent.futures.process

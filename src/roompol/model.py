@@ -220,12 +220,9 @@ def wall_material_from_times(room: RoomGeometry, t_rev: float, t_mix: float) -> 
         raise ValueError(f"mixing time must be > 0, got {t_mix}")
     scale = 4.0 * room.volume() / (SPEED_OF_LIGHT * room.surface())
     g = math.exp(-scale / t_rev)
-    if math.isinf(t_mix):
-        gamma = 0.0
-    else:
-        # (1 - r) / (1 + r) with r = exp(-x) is tanh(x / 2), which keeps
-        # full relative precision where r is near one (small gamma)
-        gamma = math.tanh(0.5 * scale / t_mix)
+    # (1 - r) / (1 + r) with r = exp(-x) is tanh(x / 2), which keeps full
+    # relative precision where r is near one (small gamma); t_mix = inf gives 0
+    gamma = math.tanh(0.5 * scale / t_mix)
     return WallMaterial(g=g, gamma=gamma)
 
 

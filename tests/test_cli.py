@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from roompol import (
     db_linear_convert,
     observed_pds,
 )
-from roompol.cli import main
+from roompol.cli import build_parser, main
 from roompol.io import TraceFormatError, read_trace_csv, write_trace_csv
 
 BASE = """\
@@ -129,11 +131,15 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path, self.SIM)
-        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
-        assert out1.read_bytes() != out2.read_bytes()
+        # the seed comes from the config alone; these two differ only in it
+        outputs = []
+        for seed in (11, 99):
+            cfg = write_config(tmp_path, self.SIM.replace("seed: 11", f"seed: {seed}"),
+                               name=f"run{seed}.yaml")
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
 
     def test_no_leakage_leaves_cross_sim_empty(self, tmp_path):
         text = self.SIM.replace("material: {g: 0.4, gamma: 0.04}",
@@ -146,13 +152,6 @@ class TestSimulate:
                           "cross_model_db"]
         cross = header.index("cross_sim_db")
         assert all(row[cross] == "" for row in cells)
-
-    def test_negative_seed_override_is_validation_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.SIM)
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                     "--seed", "-3"])
-        assert code == 2
-        assert "rng_seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_trace_prefix_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)
@@ -179,6 +178,13 @@ class TestSimulate:
             tags = ("report", "co", "cross")
             runs.append([(tmp_path / f"w{workers}_{tag}.csv").read_bytes() for tag in tags])
         assert runs[0] == runs[1]
+
+    def test_zero_workers_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.SIM)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--workers", "0"])
+        assert code == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestFit:
@@ -248,12 +254,20 @@ class TestFit:
         assert "delay grid" in capsys.readouterr().err
 
     def test_linear_trace_is_a_validation_error(self, tmp_path, capsys):
+        # trace files hold dB only: the writer refuses a linear trace
         config, paths = self.make_inputs(tmp_path)
-        write_trace_csv(paths["co"], db_linear_convert(read_trace_csv(paths["co"]), "linear"))
-        code = main(["fit", "--config", config, "--co", paths["co"],
+        linear = db_linear_convert(read_trace_csv(paths["co"]), "linear")
+        path = tmp_path / "linear.csv"
+        with pytest.raises(ValueError, match="trace CSVs hold dB only, got scale 'linear'"):
+            write_trace_csv(str(path), linear)
+        assert not path.exists()
+        # and `fit` rejects a file with a linear power column, naming its row
+        text = Path(paths["co"]).read_text()
+        path.write_text(text.replace("delay_ns,power_db", "delay_ns,power_linear"))
+        code = main(["fit", "--config", config, "--co", str(path),
                      "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "co trace must be in dB" in capsys.readouterr().err
+        assert "row 4: unexpected header 'delay_ns,power_linear'" in capsys.readouterr().err
 
     def test_pulse_too_wide_for_the_grid_is_a_validation_error(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
@@ -517,24 +531,25 @@ class TestTraceCsv:
         trace = read_trace_csv(str(path))
         npt.assert_array_equal(trace.values, [-10.0, -20.0])
 
-    @pytest.mark.parametrize("scale, note", [("db", "linear"), ("linear", "db")])
-    def test_scale_comment_disagreeing_with_the_header_is_rejected(self, tmp_path, scale, note):
+    def test_scale_comment_other_than_db_is_rejected(self, tmp_path):
         trace = PdpTrace(delays=np.arange(3) * 1e-9, values=np.array([1.0, 2.0, 3.0]),
-                         scale=scale)
+                         scale="db")
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), trace)
-        assert read_trace_csv(str(path)).scale == scale
+        assert read_trace_csv(str(path)).scale == "db"
         text = path.read_text()
-        path.write_text(text.replace(f"# scale: {scale}\n", f"# scale: {note}\n"))
-        with pytest.raises(TraceFormatError, match=f"row 2: '# scale: {note}' disagrees"):
+        path.write_text(text.replace("# scale: db\n", "# scale: linear\n"))
+        with pytest.raises(TraceFormatError, match="row 2: '# scale: linear', expected db"):
             read_trace_csv(str(path))
         # below the header too
-        path.write_text(text + f"# scale: {note}\n")
-        with pytest.raises(TraceFormatError, match=f"row 8: '# scale: {note}' disagrees"):
+        path.write_text(text + "# scale: linear\n")
+        with pytest.raises(TraceFormatError, match="row 8: '# scale: linear', expected db"):
             read_trace_csv(str(path))
 
     @pytest.mark.parametrize(
-        "header", ["delay_ns", "delay_ns,power_db,extra", "time_ns,power_db", "delay_ns,power"]
+        "header",
+        ["delay_ns", "delay_ns,power_db,extra", "time_ns,power_db", "delay_ns,power",
+         "delay_ns,power_linear"],
     )
     def test_unexpected_header_is_rejected_with_the_row(self, tmp_path, header):
         path = tmp_path / "trace.csv"
@@ -554,12 +569,11 @@ class TestTraceCsv:
         [
             ("0,1\n", "at least two samples"),
             ("0,1\n2,1\n1,1\n", "strictly increasing"),
-            ("0,1\n1,-1\n", "nonnegative"),
         ],
     )
     def test_trace_rejection_is_a_format_error_naming_the_path(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
-        path.write_text("delay_ns,power_linear\n" + rows)
+        path.write_text("delay_ns,power_db\n" + rows)
         with pytest.raises(TraceFormatError, match=message) as info:
             read_trace_csv(str(path))
         assert str(info.value).startswith(f"{path}: ")
@@ -617,3 +631,28 @@ print(json.dumps(seen))
             "import": [], "eval": [], "cpr": [], "simulate": [], "process_pool": [],
             "fit": [], "fit_numpy_ma": [], "simplex_loads_optimize": True,
         }
+
+
+def test_readme_usage_lists_every_option_of_the_parser():
+    """Each README usage line names its command's options as `build_parser`
+    declares them: required ones bare, optional ones in brackets, and a value
+    after each option that takes one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## CLI quickstart", 1)[1].split("Then:", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", usage, re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        _, command, rest = line.split(maxsplit=2)
+        options = re.findall(r"(\[?)(--[\w-]+)( [^-\[\s][^\s\]]*)?", rest)
+        documented[command] = {opt: (not bracket, bool(value)) for bracket, opt, value in options}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    declared = {
+        command: {
+            action.option_strings[0]: (action.required, action.nargs != 0)
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        }
+        for command, sub in subparsers.choices.items()
+    }
+    assert documented == declared

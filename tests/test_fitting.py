@@ -106,10 +106,14 @@ class TestProblemValidation:
             (dict(fit_window=(400e-9, 500e-9)), "does not overlap the grid"),
             (dict(fit_window=(50e-9, 20e-9)), "does not overlap the grid"),
             (dict(max_iterations=True), "max_iterations must be an integer, got True"),
+            (dict(initial_guess=(0.5, 0.1, 0.05)), "initial_guess must give"),
+            (dict(initial_guess=(0.5, 0.1, 0.05, None, 0.2)), "initial_guess must give"),
+            (dict(bounds=((0.01, 0.5, 0.7),) * 3), "bounds must give"),
         ],
         ids=["zero-wavelength", "negative-wavelength", "method", "max-iterations",
              "fractional-max-iterations", "infinite-wavelength",
-             "two-bounds", "window-past-grid", "reversed-window", "bool-max-iterations"],
+             "two-bounds", "window-past-grid", "reversed-window", "bool-max-iterations",
+             "three-value-guess", "five-value-guess", "three-value-bound"],
     )
     def test_rejects_invalid_settings(self, kw, message):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
@@ -221,8 +225,10 @@ class TestFit:
 
     def test_objective_descends_to_its_minimum(self):
         result = fit(synth_problem(*self.TRUTH))
-        assert result.objective_final <= result.objective_history[0]
-        assert result.objective_final <= np.min(result.objective_history) * (1 + 1e-9) + 1e-30
+        # the objective sums the squares of both channels' residuals, GRID.size each
+        final = 2 * GRID.size * result.residual_rms_db**2
+        assert final <= result.objective_history[0]
+        assert final <= np.min(result.objective_history) * (1 + 1e-9) + 1e-30
 
     def test_iteration_budget_reports_non_convergence(self):
         result = fit(synth_problem(*self.TRUTH, max_iterations=3))
@@ -346,8 +352,10 @@ class TestTrustRegionPort:
             # (xi 4e-8 apart at equal objectives for NLOS boxcar seed 3)
             assert ours.converged == theirs.converged
             npt.assert_allclose(self.values(ours), self.values(theirs), rtol=1e-6)
-            assert ours.objective_final == pytest.approx(theirs.objective_final,
-                                                         rel=fitting._FTOL)
+            # the RMS is the objective's square root, so rel _FTOL / 2 on it
+            # is rel _FTOL on the objective
+            assert ours.residual_rms_db == pytest.approx(theirs.residual_rms_db,
+                                                         rel=fitting._FTOL / 2)
 
     def test_non_finite_start_is_rejected(self):
         with pytest.raises(ValueError, match="not finite in the initial point"):

@@ -557,6 +557,16 @@ class TestSimulate:
         npt.assert_array_equal(serial[0].values, parallel[0].values)
         npt.assert_array_equal(serial[1].values, parallel[1].values)
 
+    @pytest.mark.parametrize(
+        "workers, message",
+        [(0, "must be >= 1, got 0"), (-3, "must be >= 1, got -3"),
+         (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True")],
+        ids=["zero", "negative", "fractional", "bool"],
+    )
+    def test_worker_count_must_be_a_positive_integer(self, workers, message):
+        with pytest.raises(ValueError, match=f"workers {message}"):
+            simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, self.small_cfg(), workers=workers)
+
     def test_pickled_run_constants_keep_add_at_on_its_fast_path(self, monkeypatch):
         # A pool worker unpickles the run constants, whose dtype objects are
         # then not numpy's own. Values that inherit one send np.add.at off
