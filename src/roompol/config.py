@@ -18,7 +18,7 @@ import yaml
 from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS, DEFAULT_MAX_ITERATIONS, METHODS
 from .measurement import PulseShape
 from .mirror import SimConfig
-from .model import SPEED_OF_LIGHT, DistanceCondition, PolGain, RoomGeometry, WallMaterial
+from .model import DistanceCondition, PolGain, RoomGeometry, WallMaterial
 
 
 class ConfigError(ValueError):
@@ -46,7 +46,7 @@ class RunConfig:
 
 _SCHEMA = {
     "room": {"lx", "ly", "lz"},
-    "carrier": {"frequency_hz", "wavelength_m"},
+    "carrier": {"wavelength_m"},
     "material": {"g", "gamma"},
     "antennas": {"xi", "mu_t", "mu_r"},
     "link": {"distance_m", "los"},
@@ -153,20 +153,6 @@ def _parse_antennas(doc: dict) -> tuple[PolGain, PolGain]:
     return tuple(_build("antennas", PolGain, mu_theta=a, mu_phi=b) for a, b in pairs)
 
 
-def _parse_carrier(doc: dict) -> float:
-    has_f = "frequency_hz" in doc["carrier"]
-    if has_f == ("wavelength_m" in doc["carrier"]):
-        raise ConfigError("give exactly one of 'carrier.frequency_hz' or 'carrier.wavelength_m'")
-    key = "frequency_hz" if has_f else "wavelength_m"
-    value = _get(doc, "carrier", key, "number")
-    if value <= 0:
-        raise ConfigError(f"'carrier.{key}' must be > 0")
-    wavelength = SPEED_OF_LIGHT / value if has_f else value
-    if not math.isfinite(wavelength):
-        raise ConfigError(f"'carrier.{key}' = {value!r} gives a non-finite wavelength")
-    return wavelength
-
-
 def _parse_grid(doc: dict) -> np.ndarray:
     start, stop, step = (
         _get(doc, "grid", key, "number") for key in ("start_ns", "stop_ns", "step_ns")
@@ -235,8 +221,10 @@ def load_run_config(path: str) -> RunConfig:
         room=_build("room", RoomGeometry, **{
             key: _get(doc, "room", key, "number") for key in ("lx", "ly", "lz")
         }),
-        wavelength=_parse_carrier(doc),
+        wavelength=_get(doc, "carrier", "wavelength_m", "number"),
     )
+    if cfg.wavelength <= 0:
+        raise ConfigError("'carrier.wavelength_m' must be > 0")
     if "material" in doc:
         cfg.material = _build(
             "material", WallMaterial, g=_get(doc, "material", "g", "number"),

@@ -96,10 +96,10 @@ class FitProblem:
                 raise ValueError(f"fit window {self.fit_window} does not overlap the grid")
             eps = 1e-9 * self.co_trace.spacing
             self.window_mask = (grid >= t0 - eps) & (grid <= t1 + eps)
-        # gated traces may hold -inf outside the window (zero power before
-        # the direct delay); only the fitted samples must be finite
+        # gated traces may hold -inf (zero power) outside the window, before
+        # the direct delay; `PdpTrace` has rejected NaN and +inf already
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
-            if not np.all(np.isfinite(tr.values[self.window_mask])):
+            if np.any(tr.values[self.window_mask] == -np.inf):
                 raise ValueError(
                     f"{name} trace contains non-finite dB values inside the fit window"
                 )

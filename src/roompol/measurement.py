@@ -75,7 +75,7 @@ class PdpTrace:
     """Sampled power-versus-delay curve on a uniform delay grid.
 
     delays are seconds; values are linear power density (1/s) or dB re 1/s
-    depending on `scale`.
+    depending on `scale`. Values may not be NaN or +inf; -inf dB is zero power.
     """
 
     delays: np.ndarray
@@ -101,6 +101,8 @@ class PdpTrace:
         # np.allclose(steps, steps[0], rtol=1e-6, atol=0) on finite steps, without its overhead
         if np.any(np.abs(steps - steps[0]) > 1e-6 * steps[0]):
             raise ValueError("delay grid must be uniformly spaced")
+        if np.isnan(self.values).any() or np.any(self.values == math.inf):
+            raise ValueError("trace values must not be NaN or +inf")
         if self.scale == "linear" and np.any(self.values < 0):
             raise ValueError("linear trace values must be nonnegative")
 

@@ -37,7 +37,7 @@ import functools
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,25 +154,6 @@ class ImageLattice:
     signs: tuple[np.ndarray, np.ndarray, np.ndarray]
     cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounces: np.ndarray
-
-    def positions(self, tx) -> np.ndarray:
-        """Image positions, shape (n_cells, 3), of a transmitter inside the room."""
-        tx = np.asarray(tx, dtype=float)
-        if tx.shape != (3,):
-            raise ValueError(f"transmitter position must be a 3-vector, got shape {tx.shape}")
-        for i, l in enumerate(self.dims):
-            if not 0.0 < tx[i] < l:
-                raise ValueError(
-                    f"transmitter must lie strictly inside the room; axis {i} "
-                    f"coordinate {tx[i]} not in (0, {l})"
-                )
-        return np.stack(
-            [
-                off[idx] + sign[idx] * t
-                for off, sign, idx, t in zip(self.offsets, self.signs, self.cells, tx)
-            ],
-            axis=1,
-        )
 
 
 def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
@@ -387,18 +368,17 @@ def simulate_pdp(
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
 
     lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)
-    if cfg.placement == "fixed" and not cfg.los:
-        # Drop the transmitter's cell, the one with zero bounces. Dropping a
-        # cell keeps the other arrivals in order, so bin sums are unchanged.
-        keep = lattice.bounces > 0
-        cells = tuple(i[keep] for i in lattice.cells)
-        lattice = replace(lattice, cells=cells, bounces=lattice.bounces[keep])
-
     g_pow = material.g ** lattice.bounces.astype(float)
     # A channel's weight is half its two split parts; g^B stays in g_pow.
     rho_pow = _rho_power(material.gamma, lattice.bounces)
     splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(p))
     mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
+    mix = mix_co + 1j * mix_cross
+    if cfg.placement == "fixed" and not cfg.los:
+        # The transmitter's cell, the one with zero bounces, weighs nothing.
+        # Its arrival adds +0.0 to a bin that holds a sum of terms >= +0.0,
+        # so every bin keeps its bits.
+        mix[lattice.bounces == 0] = 0.0
 
     # Cells are in lexicographic (x, y, z) order, so each distinct (x, y)
     # entry pair is one run of consecutive cells.
@@ -409,7 +389,7 @@ def simulate_pdp(
     rows = max(1, _TILE // ix.size)
     run = functools.partial(
         _run_chunk, cfg=cfg, lattice=lattice, columns=columns, wavelength=wavelength,
-        g_pow=np.tile(g_pow, rows), mix=np.tile(mix_co + 1j * mix_cross, rows),
+        g_pow=np.tile(g_pow, rows), mix=np.tile(mix, rows),
         d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]

@@ -242,6 +242,14 @@ def _amplitude(p: PdsParams) -> float:
     return SPEED_OF_LIGHT * p.wavelength**2 / (2.0 * p.room.volume())
 
 
+def _delays(tau) -> np.ndarray:
+    """`tau` as a float array; a NaN delay raises a `ValueError`, +-inf passes."""
+    tau_arr = np.asarray(tau, dtype=float)
+    if np.isnan(tau_arr).any():
+        raise ValueError("delays must be finite or infinite, not NaN")
+    return tau_arr
+
+
 def _like(tau_arr: np.ndarray, x):
     """`x` as a float for a scalar tau, as it is for an array tau."""
     return float(x) if tau_arr.ndim == 0 else x
@@ -263,12 +271,13 @@ def pds_components(tau, p: PdsParams):
     builds up with the mixing time. Accepts scalar or array tau; returns a
     (co, cross) pair of matching shape.
     """
-    tau_arr = np.asarray(tau, dtype=float)
+    tau_arr = _delays(tau)
     tt = np.maximum(tau_arr, 0.0)
     t_rev = reverberation_time(p.room, p.material)
     t_mix = mixing_time(p.room, p.material)
     decay = _amplitude(p) * np.exp(-tt / t_rev)
-    mix = np.exp(-tt / t_mix)
+    # gamma = 0 never mixes (rho = 1); e^(-tau/T_p) would be e^(-inf/inf) at tau = +inf
+    mix = np.exp(-tt / t_mix) if t_mix < math.inf else 1.0
     return _gated(tau_arr, *bounce_split(*_mu_products(p), decay, mix))
 
 
@@ -309,7 +318,7 @@ def bounce_count_table(tau, room: RoomGeometry) -> np.ndarray:
     covers the largest count reached. Rows sum to one up to rounding. Delays
     must be finite, and the table may hold at most `_MAX_TABLE_CELLS` cells.
     """
-    tau = np.asarray(tau, dtype=float).ravel()
+    tau = _delays(tau).ravel()
     if not np.all(np.isfinite(tau)):
         raise ValueError("delays must be finite")
     u, weights = _octant_directions()
@@ -355,7 +364,7 @@ def pds_components_exact(tau, p: PdsParams):
     agree, except that at fixed gamma the cross part's onset keeps the
     discrete first-bounce factor 1 - rho where the closed form has -ln(rho).
     """
-    tau_arr = np.asarray(tau, dtype=float)
+    tau_arr = _delays(tau)
     table = bounce_count_table(np.maximum(tau_arr, 0.0), p.room)
     k = np.arange(table.shape[1])
     split = bounce_split(*_mu_products(p), p.material.g**k, _rho_power(p.material.gamma, k))
@@ -377,7 +386,7 @@ def pds_asymptote(tau, p: PdsParams):
     Only defined for tau >= 0. For lossless antennas the bracket is one,
     i.e. the classical unpolarized exponential decay scaled by 1/2.
     """
-    tau_arr = np.asarray(tau, dtype=float)
+    tau_arr = _delays(tau)
     if np.any(tau_arr < 0):
         raise ValueError("asymptote is only defined for tau >= 0")
     t_rev = reverberation_time(p.room, p.material)
@@ -392,7 +401,7 @@ def co_cross_ratio(tau, p: PdsParams):
     prefactor k_co/k_cross at large delays. Returns +inf whenever the cross
     product of the mean gains is zero or gamma = 0 (no cross-polar power).
     """
-    tau_arr = np.asarray(tau, dtype=float)
+    tau_arr = _delays(tau)
     if np.any(tau_arr <= 0):
         raise ValueError("co/cross ratio requires tau > 0")
     k_co, k_cross = _mu_products(p)
@@ -435,7 +444,7 @@ def pds_conditional(tau, p: PdsParams, cond: DistanceCondition | None):
     """
     if cond is None:
         return pds(tau, p)
-    tau_arr = np.asarray(tau, dtype=float)
+    tau_arr = _delays(tau)
     return _like(tau_arr, np.where(tau_arr > cond.distance / SPEED_OF_LIGHT, pds(tau_arr, p), 0.0))
 
 

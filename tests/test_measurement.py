@@ -253,6 +253,12 @@ class TestPdpTrace:
         with pytest.raises(ValueError, match="two samples"):
             PdpTrace(np.array([0.0]), np.zeros(1), "linear")
 
+    @pytest.mark.parametrize("scale", ["linear", "db"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_positive_infinite_values(self, scale, bad):
+        with pytest.raises(ValueError, match=r"trace values must not be NaN or \+inf"):
+            PdpTrace(np.arange(3) * 1e-9, np.array([1.0, bad, 1.0]), scale)
+
     def test_db_values_may_be_negative_infinite(self):
         tr = PdpTrace(np.arange(2) * 1e-9, np.array([-math.inf, -30.0]), "db")
         assert tr.scale == "db"

@@ -40,6 +40,13 @@ def count_plane_crossings(image_pos, rx, dims):
     return total
 
 
+def image_positions(lattice, tx):
+    """Image positions, shape (..., n_cells, 3), of transmitters tx of shape (..., 3)."""
+    tx = np.asarray(tx, dtype=float)[..., None, :]
+    axes = zip(lattice.offsets, lattice.signs, lattice.cells)
+    return np.stack([off[j] + sign[j] * tx[..., i] for i, (off, sign, j) in enumerate(axes)], -1)
+
+
 def full_cube_pdp(room, material, mu_t, mu_r, wavelength, cfg):
     """Reference: simulate_pdp over every cell of the unpruned image cube.
 
@@ -112,14 +119,15 @@ class TestEnumerateImages:
     def test_contains_the_transmitter_with_zero_bounces(self):
         tx = np.array([1.0, 2.0, 1.5])
         lattice = enumerate_images(ROOM, reach=6.0)
-        zero = lattice.positions(tx)[lattice.bounces == 0]
+        zero = image_positions(lattice, tx)[lattice.bounces == 0]
         assert len(zero) == 1
         npt.assert_array_equal(zero[0], tx)
 
     def test_single_mirror_in_nearest_wall(self):
         tx = np.array([1.0, 2.0, 1.5])
         lattice = enumerate_images(ROOM, reach=6.0)
-        match = np.all(np.isclose(lattice.positions(tx), [-1.0, 2.0, 1.5], atol=1e-12), axis=1)
+        images = image_positions(lattice, tx)
+        match = np.all(np.isclose(images, [-1.0, 2.0, 1.5], atol=1e-12), axis=1)
         assert match.sum() == 1 and lattice.bounces[match][0] == 1
 
     def test_image_density_matches_reciprocal_room_volume(self):
@@ -128,7 +136,7 @@ class TestEnumerateImages:
         center = np.array([1.5, 2.0, 1.5])
         lattice = enumerate_images(ROOM, reach=radius + ROOM.diagonal())
         inside = np.count_nonzero(
-            np.linalg.norm(lattice.positions(tx) - center, axis=1) <= radius
+            np.linalg.norm(image_positions(lattice, tx) - center, axis=1) <= radius
         )
         expected = 4.0 / 3.0 * math.pi * radius**3 / ROOM.volume()
         assert inside == pytest.approx(expected, rel=0.05)
@@ -141,28 +149,18 @@ class TestEnumerateImages:
         for _ in range(10):
             tx = rng.uniform(0.05, 0.95, 3) * dims
             rx = rng.uniform(0.05, 0.95, 3) * dims
-            positions = lattice.positions(tx)
+            positions = image_positions(lattice, tx)
             pick = rng.choice(len(positions), size=10, replace=False)
             for idx in pick:
                 assert lattice.bounces[idx] == count_plane_crossings(positions[idx], rx, dims)
                 checked += 1
         assert checked == 100
 
-    def test_rejects_transmitter_outside_or_on_a_wall(self):
-        lattice = enumerate_images(ROOM, reach=5.0)
-        with pytest.raises(ValueError, match="strictly inside"):
-            lattice.positions(np.array([3.0, 2.0, 1.5]))
-        with pytest.raises(ValueError, match="strictly inside"):
-            lattice.positions(np.array([-0.1, 2.0, 1.5]))
-        with pytest.raises(ValueError, match="reach"):
+    def test_rejects_a_nonpositive_or_infinite_reach(self):
+        with pytest.raises(ValueError, match="reach must be > 0, got 0.0"):
             enumerate_images(ROOM, reach=0.0)
-        with pytest.raises(ValueError, match="reach"):
+        with pytest.raises(ValueError, match="reach must be > 0 and finite, got inf"):
             enumerate_images(ROOM, reach=math.inf)
-
-    @pytest.mark.parametrize("tx", [[1.0, 2.0], [[1.0, 2.0, 1.5]]])
-    def test_rejects_a_transmitter_that_is_not_a_3_vector(self, tx):
-        with pytest.raises(ValueError, match="3-vector"):
-            enumerate_images(ROOM, reach=5.0).positions(tx)
 
     def test_cube_cap_is_exact(self, monkeypatch):
         # 1859 cells at 31 ns (TestReachPruning.test_kept_cell_counts)
@@ -399,12 +397,7 @@ class TestCountTableAgainstLattice:
         out = np.zeros((self.N_BATCHES, n_bins, n_k))
         for batch in out:
             tx, rx = _sample_uniform(rng, self.PER_BATCH, dims)
-            d2 = sum(
-                (off[idx] + sign[idx] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
-                for i, (off, sign, idx) in enumerate(
-                    zip(lattice.offsets, lattice.signs, lattice.cells)
-                )
-            )
+            d2 = ((image_positions(lattice, tx) - rx[:, None, :]) ** 2).sum(axis=-1)
             tau = np.sqrt(d2) / SPEED_OF_LIGHT
             keep = tau < max_delay
             bins = (tau[keep] / self.BIN).astype(np.int64)

@@ -292,6 +292,36 @@ class TestPds:
         assert cpr(fwd) == cpr(rev)
 
 
+# The model functions that take delays, each called as f(tau, p).
+DELAY_FUNCTIONS = {
+    "pds": pds,
+    "pds_conditional": lambda tau, p: pds_conditional(tau, p, DistanceCondition(1.8)),
+    "pds_components": pds_components,
+    "pds_asymptote": pds_asymptote,
+    "co_cross_ratio": co_cross_ratio,
+    "pds_components_exact": pds_components_exact,
+}
+
+
+class TestDelays:
+    @pytest.mark.parametrize("tau", [math.nan, [1e-9, math.nan]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("name", DELAY_FUNCTIONS)
+    def test_nan_delay_is_rejected_by_name(self, name, tau):
+        with pytest.raises(ValueError, match="delays must be finite or infinite, not NaN"):
+            DELAY_FUNCTIONS[name](tau, split_params(0.1))
+
+    @pytest.mark.parametrize("gamma", [0.04, 0.0])
+    def test_infinite_delay_keeps_the_closed_form_limits(self, gamma):
+        p = split_params(0.1, material=WallMaterial(0.4, gamma))
+        assert pds(math.inf, p) == 0.0
+        assert pds_components(math.inf, p) == (0.0, 0.0)
+        assert pds_conditional(math.inf, p, DistanceCondition(1.8)) == 0.0
+        assert pds_asymptote(math.inf, p) == 0.0
+        assert co_cross_ratio(math.inf, p) == (0.82 / 0.18 if gamma else math.inf)
+        with pytest.raises(ValueError, match="delays must be finite"):
+            pds_components_exact(math.inf, p)
+
+
 class TestChannelPair:
     def test_swaps_only_the_receive_gains(self):
         p = make_params(PolGain(0.7, 0.2), PolGain(0.1, 0.8))
@@ -521,6 +551,28 @@ class TestCpr:
             assert math.isinf(oracle)
         else:
             assert closed == pytest.approx(oracle, rel=1e-3)
+
+
+    def test_exact_uniform_cpr_exceeds_the_closed_form(self):
+        # One material-free table, integrated to m_k = int P(B = k | tau) dtau,
+        # serves every g: co/cross = (k_co/k_cross) sum m_k g^k (1 + rho^k) /
+        # sum m_k g^k (1 - rho^k). 40 T(0.7) leaves e^-40 of the power out.
+        gamma, gs = 0.04, (0.3, 0.4, 0.5, 0.7)
+        tau = np.linspace(0.0, 40.0 * reverberation_time(ROOM, WallMaterial(0.7, gamma)), 4001)
+        m = trapezoid(bounce_count_table(tau, ROOM), tau, axis=0)
+        k = np.arange(m.size)
+        rho_k = ((1.0 - gamma) / (1.0 + gamma)) ** k
+        gaps = []
+        for g in gs:
+            p = split_params(0.1, material=WallMaterial(g, gamma))
+            weights = m * g**k
+            exact = (0.82 / 0.18) * (weights @ (1.0 + rho_k)) / (weights @ (1.0 - rho_k))
+            gaps.append(10.0 * math.log10(exact / cpr(p)))
+        print("exact uniform CPR minus model.cpr, dB:",
+              ", ".join(f"g={g}: {gap:.2f}" for g, gap in zip(gs, gaps)))
+        assert all(gap > 0.0 for gap in gaps)
+        # the count variance matters less as g -> 1
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 class TestAsymptote:
