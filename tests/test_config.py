@@ -38,11 +38,18 @@ def test_loads_minimal_document(tmp_path):
 
 def test_frequency_is_an_unknown_carrier_key(tmp_path):
     # the carrier has one spelling, its wavelength
-    for carrier in ("{frequency_hz: 60.0e9}", "{frequency_hz: -6.0e10}",
-                    "{wavelength_m: 0.005, frequency_hz: 60.0e9}"):
-        text = BASE.replace("{wavelength_m: 0.005}", carrier)
-        with pytest.raises(ConfigError, match=r"unknown config key 'carrier\.frequency_hz'"):
-            load_run_config(write(tmp_path, text))
+    text = BASE.replace("carrier: {wavelength_m: 0.005}", "carrier: {frequency_hz: 60.0e9}")
+    with pytest.raises(ConfigError, match=r"unknown config key 'carrier\.frequency_hz'"):
+        load_run_config(write(tmp_path, text))
+
+
+def test_rejects_both_carrier_keys(tmp_path):
+    text = BASE.replace(
+        "carrier: {wavelength_m: 0.005}",
+        "carrier: {wavelength_m: 0.005, frequency_hz: 60.0e9}",
+    )
+    with pytest.raises(ConfigError, match=r"unknown config key 'carrier\.frequency_hz'"):
+        load_run_config(write(tmp_path, text))
 
 
 def test_rejects_unknown_section_and_key(tmp_path):
@@ -267,6 +274,8 @@ INVALID = [
     ("mu_t-without-mu_r", BASE.replace("{xi: 0.0}", "{mu_t: [0.9, 0.1]}"), "antennas.mu_r"),
     ("wavelength-zero", BASE.replace("wavelength_m: 0.005", "wavelength_m: 0.0"),
      r"carrier\.wavelength_m' must be > 0"),
+    ("frequency-negative", BASE.replace("wavelength_m: 0.005", "frequency_hz: -6.0e10"),
+     r"unknown config key 'carrier\.frequency_hz'"),
     ("step-zero", BASE.replace("step_ns: 0.1", "step_ns: 0.0"), r"grid\.step_ns' must be > 0"),
     ("step-negative", BASE.replace("step_ns: 0.1", "step_ns: -0.1"),
      r"grid\.step_ns' must be > 0"),
