@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fitting, io, mirror, model
 from .config import RunConfig, load_run_config
-from .measurement import PdpTrace, to_db
+from .measurement import db_linear_convert, to_db
 
 
 def _params(cfg: RunConfig) -> model.PdsParams:
@@ -88,17 +88,15 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     co_model, cross_model = (
         model.pds_conditional(co_sim.delays, p, cfg.cond) for p in model.channel_pair(params)
     )
+    co_db, cross_db = (db_linear_convert(trace, "db") for trace in (co_sim, cross_sim))
     if args.trace_prefix:
-        for tag, trace in (("co", co_sim), ("cross", cross_sim)):
-            io.write_trace_csv(
-                f"{args.trace_prefix}_{tag}.csv",
-                PdpTrace(delays=trace.delays, values=to_db(trace.values), scale="db"),
-            )
+        for tag, trace in (("co", co_db), ("cross", cross_db)):
+            io.write_trace_csv(f"{args.trace_prefix}_{tag}.csv", trace)
     print(f"simulated {cfg.sim.n_realizations} realizations (seed {cfg.sim.rng_seed})")
     _write_report(args.out, [
         ("delay_ns", co_sim.delays * 1e9),
-        ("co_sim_db", to_db(co_sim.values)),
-        ("cross_sim_db", to_db(cross_sim.values)),
+        ("co_sim_db", co_db.values),
+        ("cross_sim_db", cross_db.values),
         ("co_model_db", to_db(co_model)),
         ("cross_model_db", to_db(cross_model)),
     ])

@@ -34,19 +34,15 @@ def write_trace_csv(path: str, trace: PdpTrace) -> None:
     """Write a dB PDP trace at full precision so a read round-trips exactly.
 
     A linear trace raises `ValueError`: trace files hold dB only. -inf is
-    written as the empty field. +inf and NaN have no spelling the reader
-    accepts, so they raise `ValueError` naming the sample index.
+    written as the empty field. `PdpTrace` checks the values again, as they
+    may have been reassigned, so +inf and NaN, which no field spells, raise.
     """
     if trace.scale != "db":
         raise ValueError(f"trace CSVs hold dB only, got scale {trace.scale!r}")
+    trace = PdpTrace(trace.delays, trace.values, "db")
     lines = ["# roompol pdp trace", "# scale: db", _DB_REFERENCE_NOTE, "delay_ns,power_db"]
-    for i, (delay, value) in enumerate(zip(trace.delays, trace.values)):
-        if value == -math.inf:
-            v = ""
-        elif math.isfinite(value):
-            v = f"{value:.17g}"
-        else:
-            raise ValueError(f"sample {i}: power value {value} cannot be written to a trace CSV")
+    for delay, value in zip(trace.delays, trace.values):
+        v = "" if value == -math.inf else f"{value:.17g}"
         lines.append(f"{delay * 1e9:.17g},{v}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

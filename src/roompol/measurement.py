@@ -201,13 +201,11 @@ def from_db(level):
 
 
 def db_linear_convert(trace: PdpTrace, target: str) -> PdpTrace:
-    """Convert a trace between linear power density and dB re 1/s."""
+    """Convert a trace between linear power density and dB re 1/s; zero power is -inf dB."""
     if target not in ("linear", "db"):
         raise ValueError(f"target scale must be 'linear' or 'db', got {target!r}")
     if trace.scale == target:
         return PdpTrace(delays=trace.delays.copy(), values=trace.values.copy(), scale=target)
     if target == "db":
-        if np.any(trace.values <= 0):
-            raise ValueError("cannot convert nonpositive linear values to dB")
         return PdpTrace(delays=trace.delays.copy(), values=to_db(trace.values), scale="db")
     return PdpTrace(delays=trace.delays.copy(), values=from_db(trace.values), scale="linear")

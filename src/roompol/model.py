@@ -383,15 +383,14 @@ def pds(tau, p: PdsParams):
 def pds_asymptote(tau, p: PdsParams):
     """Large-delay asymptote c lam^2 e^(-tau/T) / 2V * (k_co + k_cross).
 
-    Only defined for tau >= 0. For lossless antennas the bracket is one,
-    i.e. the classical unpolarized exponential decay scaled by 1/2.
+    Zero for tau < 0, like `pds_components`. With lossless antennas the
+    bracket is one: the classical unpolarized exponential decay times 1/2.
     """
     tau_arr = _delays(tau)
-    if np.any(tau_arr < 0):
-        raise ValueError("asymptote is only defined for tau >= 0")
     t_rev = reverberation_time(p.room, p.material)
     k_co, k_cross = _mu_products(p)
-    return _like(tau_arr, _amplitude(p) * np.exp(-tau_arr / t_rev) * (k_co + k_cross))
+    curve = _amplitude(p) * np.exp(-np.maximum(tau_arr, 0.0) / t_rev) * (k_co + k_cross)
+    return _like(tau_arr, np.where(tau_arr >= 0, curve, 0.0))
 
 
 def co_cross_ratio(tau, p: PdsParams):

@@ -119,6 +119,16 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "curves.csv")]) == 0
         assert "CPR(d=2000 m, LOS) = inf" in capsys.readouterr().out.splitlines()
 
+    def test_grid_starting_before_zero_leaves_the_asymptote_empty_there(self, tmp_path):
+        cfg = write_config(tmp_path, BASE.replace("start_ns: 0.0", "start_ns: -5.0"))
+        out = tmp_path / "curves.csv"
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        header, cells = read_table(str(out))
+        asymptote = header.index("asymptote_db")
+        delays = [float(row[0]) for row in cells]
+        assert delays[0] == -5.0 and 0.0 in delays
+        assert all((row[asymptote] == "") == (d < 0) for d, row in zip(delays, cells))
+
 
 class TestSimulate:
     SIM = BASE + "simulation: {realizations: 1500, seed: 11, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
@@ -252,6 +262,21 @@ class TestFit:
                      "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "delay grid" in capsys.readouterr().err
+
+    def test_traces_starting_before_zero_are_fitted(self, tmp_path, capsys):
+        # pre-trigger samples: the same pair on a grid shifted by -5 ns
+        config, paths = self.make_inputs(tmp_path)
+        for path in paths.values():
+            trace = read_trace_csv(path)
+            write_trace_csv(path, PdpTrace(trace.delays - 5e-9, trace.values, "db"))
+        out = tmp_path / "fitted.csv"
+        code = main(["fit", "--config", config, "--co", paths["co"],
+                     "--cross", paths["cross"], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert f"wrote {out}" in captured.out
+        header, cells = read_table(str(out))
+        assert len(cells) == 600 and float(cells[0][0]) == -5.0
 
     def test_linear_trace_is_a_validation_error(self, tmp_path, capsys):
         # trace files hold dB only: the writer refuses a linear trace
@@ -496,11 +521,12 @@ class TestTraceCsv:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_writer_rejects_power_the_reader_cannot_read_back(self, tmp_path, bad):
         # the empty field reads back as -inf, so +inf and NaN have no spelling;
-        # PdpTrace refuses them, and the writer checks the values it is given
+        # PdpTrace refuses them when built, and the writer checks them again, as
+        # here, where they were reassigned after construction
         trace = PdpTrace(delays=np.arange(2) * 1e-9, values=np.array([-10.0, -20.0]), scale="db")
         trace.values[1] = bad
         path = tmp_path / "trace.csv"
-        with pytest.raises(ValueError, match="sample 1"):
+        with pytest.raises(ValueError, match=r"trace values must not be NaN or \+inf"):
             write_trace_csv(str(path), trace)
         assert not path.exists()
 

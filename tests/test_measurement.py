@@ -210,8 +210,15 @@ class TestDbConversion:
         npt.assert_array_equal(db_linear_convert(db, "linear").values, from_db(db.values))
 
     def test_rejects_nonpositive_linear_to_db(self):
+        # zero power is -inf dB, as `to_db` defines it, and converts back to 0;
+        # a negative value (reassigned after construction) gives NaN, which
+        # PdpTrace rejects
         tr = PdpTrace(np.arange(2) * 1e-9, np.array([0.0, 1.0]), "linear")
-        with pytest.raises(ValueError, match="nonpositive"):
+        db = db_linear_convert(tr, "db")
+        npt.assert_array_equal(db.values, [-math.inf, 0.0])
+        npt.assert_array_equal(db_linear_convert(db, "linear").values, [0.0, 1.0])
+        tr.values[0] = -1.0
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             db_linear_convert(tr, "db")
 
     def test_rejects_unknown_target(self):

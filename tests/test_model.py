@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -584,8 +586,16 @@ class TestAsymptote:
         npt.assert_allclose(pds_asymptote(tau, p), expected, rtol=1e-14)
 
     def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            pds_asymptote(-1e-9, split_params(0.1))
+        # no power before the first arrival, as in pds_components, and no
+        # overflow warning for a very negative delay; from tau = 0 on, the
+        # bits of amplitude * e^(-tau/T) * (k_co + k_cross), here k = (1, 0)
+        p = make_params(PolGain(1, 0), PolGain(1, 0))
+        assert pds_asymptote(-1e-9, p) == 0.0
+        npt.assert_array_equal(pds_asymptote(np.array([-1e3, -60e-9, -1e-12]), p), 0.0)
+        tau = np.concatenate([[-0.0], np.linspace(0.0, 60e-9, 61)])
+        amplitude = SPEED_OF_LIGHT * LAM**2 / (2.0 * 36.0)
+        expected = amplitude * np.exp(-tau / reverberation_time(ROOM, MAT)) * 1.0
+        npt.assert_array_equal(pds_asymptote(tau, p), expected)
 
     def test_convergence_by_five_mixing_times(self):
         p = make_params(PolGain(1, 0), PolGain(1, 0))
@@ -689,3 +699,16 @@ class TestCprDistance:
         assert cpr_distance(split_params(0.0), cond) == math.inf
         p = split_params(0.1, material=WallMaterial(0.4, 0.0))
         assert cpr_distance(p, cond) == math.inf
+
+
+def test_readme_library_quickstart_prints_its_commented_values(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", quickstart, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [float(line) for line in capsys.readouterr().out.splitlines()]
+    commented = re.findall(r"^print\(.*# ~(\d+)\.(\d+) ns$", block, re.M)
+    assert len(printed) == len(commented) == 2
+    for value, (whole, decimals) in zip(printed, commented):
+        # each comment gives the printed value to its last written digit
+        assert round(value, len(decimals)) == float(f"{whole}.{decimals}")
