@@ -1,10 +1,11 @@
 """Run configuration: a single YAML document with strictly validated sections.
 
 The allowed sections and keys are listed once, in `_SCHEMA`, and checked
-before any value is read. Every value is then read by one typed reader,
-`_get`, which rejects non-finite numbers, and funneled through the
-corresponding domain type so that invariant violations surface as
-named-field errors rather than crashes deeper in a run.
+before any value is read; a section or key written twice is rejected. Every
+value is then read by one typed reader, `_get`, which rejects non-finite
+numbers, and funneled through the corresponding domain type so that
+invariant violations surface as named-field errors rather than crashes
+deeper in a run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,24 @@ from .model import DistanceCondition, PolGain, RoomGeometry, WallMaterial
 
 class ConfigError(ValueError):
     """Configuration document failed validation; message names the field."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects a key written twice in one mapping.
+
+    Only literal repeats count: a key a `<<` merge brings in may be overridden.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ConfigError(f"config key {key!r} is repeated on line {line}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 @dataclass
@@ -213,7 +232,7 @@ def load_run_config(path: str) -> RunConfig:
     """Parse and validate a YAML run configuration."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     doc = _check_schema(raw)
@@ -249,8 +268,7 @@ def load_run_config(path: str) -> RunConfig:
     if "fit" in doc:
         cfg.fit = _parse_fit(doc)
     if "cpr" in doc:
-        distances = _get(doc, "cpr", "distances_m", "list")
-        if any(x <= 0 for x in distances):
-            raise ConfigError("'cpr.distances_m' entries must be > 0")
-        cfg.cpr_distances = distances
+        cfg.cpr_distances = _get(doc, "cpr", "distances_m", "list")
+        for d in cfg.cpr_distances:
+            _build("cpr.distances_m", DistanceCondition, distance=d)
     return cfg

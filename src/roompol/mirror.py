@@ -44,6 +44,7 @@ import numpy as np
 from .measurement import PdpTrace
 from .model import (
     SPEED_OF_LIGHT,
+    DistanceCondition,
     PdsParams,
     PolGain,
     RoomGeometry,
@@ -101,7 +102,7 @@ class SimConfig:
         if self.placement == "fixed":
             if self.distance is None:
                 raise ValueError("fixed placement requires a positive distance")
-            _require_positive("distance", self.distance)
+            DistanceCondition(self.distance)  # the one check of a usable distance
         elif self.distance is not None:
             raise ValueError("distance is only meaningful for fixed placement")
         elif not self.los:
@@ -279,8 +280,8 @@ def _run_chunk(
     only a transmitter exactly on the receiver has d2 == 0, and it is dropped
     among the kept arrivals before any division. Sqrt, delay and power are
     then formed in place for the survivors only. `g_pow` (g^B) and `mix`
-    (co + 1j * cross) of each cell come tiled to `rows` rows by `simulate_pdp`,
-    so each is one gather by flat index; one complex sum per bin holds both.
+    (co + 1j * cross) hold one entry per cell; tiled here to `rows` rows, each
+    is one gather by flat index, and one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
@@ -288,11 +289,14 @@ def _run_chunk(
         tx, rx = _sample_uniform(rng, n, dims)
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
+    iz = lattice.cells[2]
+    rows = max(1, _TILE // iz.size)
     # An array unpickled in a pool worker has its own dtype object.
     # A result takes the dtype of its first operand, so every array the
     # arrivals are computed from is re-wrapped: `np.add.at` leaves its fast
     # path for such a dtype.
-    g_pow, mix = np.asarray(g_pow, dtype=float), np.asarray(mix, dtype=complex)
+    g_pow = np.tile(np.asarray(g_pow, dtype=float), rows)
+    mix = np.tile(np.asarray(mix, dtype=complex), rows)
     offsets, signs = (
         [np.asarray(a, dtype=float) for a in arrays] for arrays in (lattice.offsets, lattice.signs)
     )
@@ -302,8 +306,6 @@ def _run_chunk(
         for i, (off, sign) in enumerate(zip(offsets, signs))
     )
     col_x, col_y, col_size = columns
-    iz = lattice.cells[2]
-    rows = g_pow.size // iz.size
     acc = np.zeros(n_bins, dtype=complex)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
@@ -386,11 +388,9 @@ def simulate_pdp(
     starts = np.ones(ix.size, dtype=bool)
     starts[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
     columns = (ix[starts], iy[starts], np.diff(np.flatnonzero(starts), append=ix.size))
-    rows = max(1, _TILE // ix.size)
     run = functools.partial(
-        _run_chunk, cfg=cfg, lattice=lattice, columns=columns, wavelength=wavelength,
-        g_pow=np.tile(g_pow, rows), mix=np.tile(mix, rows),
-        d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
+        _run_chunk, cfg=cfg, lattice=lattice, columns=columns, g_pow=g_pow, mix=mix, n_bins=n_bins,
+        wavelength=wavelength, d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins),
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))

@@ -124,7 +124,9 @@ class DistanceCondition:
     los: bool = False
 
     def __post_init__(self) -> None:
+        # direct_path and cpr_distance divide by d**2: about 2e-162 < d < 1.3e154
         _require_positive("distance", self.distance)
+        _require_positive(f"distance {self.distance} squared", self.distance * self.distance)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,50 @@ class TestExitCodes:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+class TestUnusableDistance:
+    # d * d underflows to 0 at 1e-200 m and overflows to inf at 1e200 m, and
+    # direct_path and cpr_distance divide by d**2: every command must reject
+    # such a distance by name, with no traceback and no RuntimeWarning.
+    LINK = BASE + (
+        "pulse: {kind: boxcar, bandwidth_hz: 0.5e9}\n"
+        "link: {distance_m: %s, los: true}\n"
+    )
+    FIXED = ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
+             "placement: fixed}\n")
+
+    @staticmethod
+    def run_cleanly(argv, capsys):
+        """Exit code and stderr of `main`, which may warn nothing."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        return code, err
+
+    @pytest.mark.parametrize("distance", ["1.0e-200", "1.0e+200"])
+    @pytest.mark.parametrize("command", ["eval", "fit", "simulate"])
+    def test_link_distance_is_a_validation_error(self, tmp_path, capsys, command, distance):
+        text = self.LINK % distance + (self.FIXED if command == "simulate" else "")
+        cfg = write_config(tmp_path, text, name="link.yaml")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv")]
+        if command == "fit":
+            _, paths = TestFit().make_inputs(tmp_path)
+            argv += ["--co", paths["co"], "--cross", paths["cross"]]
+        code, err = self.run_cleanly(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"error: [link] distance {float(distance)} squared must be > 0")
+
+    def test_cpr_distance_is_a_validation_error(self, tmp_path, capsys):
+        text = TestCpr.CFG.replace("[0.5, 1.35, 1.8, 3.3, 50.0, 500.0]", "[1.8, 1.0e-200]")
+        cfg = write_config(tmp_path, text)
+        code, err = self.run_cleanly(["cpr", "--config", cfg, "--out", str(tmp_path / "x.csv")],
+                                     capsys)
+        assert code == 2
+        assert err.startswith("error: [cpr.distances_m] distance 1e-200 squared must be > 0")
 
 
 class TestTraceCsv:

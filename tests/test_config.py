@@ -162,6 +162,12 @@ def test_cpr_section_validation(tmp_path):
         load_run_config(write(tmp_path, BASE + "cpr: {distances_m: [0.5, -1.0]}\n"))
 
 
+def test_merge_key_may_be_overridden(tmp_path):
+    # only a key written twice is rejected; one a `<<` merge brings in is not
+    text = BASE.replace("{lx: 3.0, ly: 4.0, lz: 3.0}", "{<<: {lx: 3.0, ly: 4.0, lz: 3.0}, lx: 5.0}")
+    assert load_run_config(write(tmp_path, text)).room.lx == 5.0
+
+
 def test_type_errors_name_the_key(tmp_path):
     text = BASE.replace("material: {g: 0.4, gamma: 0.04}",
                         "material: {g: wood, gamma: 0.04}")
@@ -288,6 +294,14 @@ INVALID = [
      "grid must contain at least two samples"),
     ("unknown-method", BASE + "fit: {method: powell}\n", r"fit\.method' must be"),
     ("invalid-yaml", BASE + "link: {distance_m: 1.8\n", "not valid YAML"),
+    ("repeated-key", BASE.replace("lx: 3.0,", "lx: 3.0, lx: 5.0,"),
+     "config key 'lx' is repeated on line 1"),
+    ("repeated-section", BASE + "room: {lx: 1.0, ly: 1.0, lz: 1.0}\n",
+     "config key 'room' is repeated on line 6"),
+    ("cpr-distance-square-underflows", BASE + "cpr: {distances_m: [0.5, 1.0e-200]}\n",
+     r"\[cpr\.distances_m\] distance 1e-200 squared must be > 0"),
+    ("link-distance-square-overflows", BASE + "link: {distance_m: 1.0e+200}\n",
+     r"\[link\] distance 1e\+200 squared must be > 0 and finite"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -332,6 +333,24 @@ class TestTiling:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_each_task_carries_one_weight_per_cell(self, monkeypatch):
+        # The chunk tiles g^B and the mix to its own tile height, so the
+        # runner a pool task pickles holds them once per lattice cell (61 KiB
+        # at 53 ns; tiled to the chunk's 15 rows they would take 403 KiB).
+        runners = []
+
+        def recording_map(fn, *args):
+            runners.append(fn)
+            return map(fn, *args)
+
+        monkeypatch.setattr(mirror, "map", recording_map, raising=False)
+        cfg = SimConfig(n_realizations=10, bin_width=1e-9, max_delay=53e-9)
+        simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+        (run,) = runners
+        n_cells = enumerate_images(ROOM, SPEED_OF_LIGHT * cfg.max_delay).bounces.size
+        assert run.keywords["g_pow"].shape == run.keywords["mix"].shape == (n_cells,)
+        assert len(pickle.dumps(run)) < 64 * 1024
+
 
 class TestKeepBound:
     BIN_WIDTHS_NS = (0.1, 0.2, 0.25, 0.5, 1.0, 2.0)
@@ -472,6 +491,14 @@ class TestSimConfig:
                     n_realizations=10, bin_width=1e-9, max_delay=10e-9,
                     placement="uniform", **extra,
                 )
+
+    @pytest.mark.parametrize("distance", [1e-200, 1e200])
+    def test_fixed_distance_needs_a_representable_square(self, distance):
+        with pytest.raises(ValueError, match=re.escape(f"distance {distance} squared must be > 0")):
+            SimConfig(
+                n_realizations=10, bin_width=1e-9, max_delay=10e-9,
+                placement="fixed", distance=distance,
+            )
 
     def test_unreachable_fixed_distance_is_rejected(self):
         cfg = SimConfig(

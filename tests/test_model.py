@@ -119,6 +119,20 @@ class TestTypes:
         with pytest.raises(ValueError, match="distance"):
             DistanceCondition(distance=0.0, los=True)
 
+    # A usable distance has a square that is a positive finite double
+    # (about 2e-162 < d < 1.3e154): direct_path and cpr_distance form d**2.
+    @pytest.mark.parametrize("d", [1e-150, 1e150])
+    def test_distance_rule_admits_a_representable_square(self, d):
+        cond = DistanceCondition(d, los=True)
+        p = split_params(0.1)
+        assert 0.0 < direct_path(p, cond).weight < math.inf
+        assert cpr_distance(p, cond) > 0.0
+
+    @pytest.mark.parametrize("d", [1e-200, 1e200, 0.0, -1.0, math.inf, math.nan])
+    def test_distance_rule_rejects_by_name(self, d):
+        with pytest.raises(ValueError, match="^distance "):
+            DistanceCondition(d, los=True)
+
     NON_FINITE_BUILDERS = {
         "lx": lambda v: RoomGeometry(v, 4.0, 3.0),
         "ly": lambda v: RoomGeometry(3.0, v, 3.0),
