@@ -367,6 +367,14 @@ def simulate_pdp(
             f"fixed distance {cfg.distance} m admits no placement in a room "
             f"with diagonal {room.diagonal():.3f} m"
         )
+    # _sample_fixed's rx + d * u rounds to the room's coordinate grid, which
+    # at this floor already puts 1e-6 relative error on d
+    floor = 2.0**-52 * max(room.lx, room.ly, room.lz) * 1e6
+    if cfg.placement == "fixed" and cfg.distance < floor:
+        raise ValueError(
+            f"fixed distance {cfg.distance} m is below {floor:.3g} m, the least at which "
+            f"the room's coordinate rounding stays within 1e-6 of it"
+        )
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
 
     lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)

@@ -479,10 +479,13 @@ class TestExitCodes:
             ("link: {distance_m: 5.82}\n"
              "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
              "placement: fixed}\n", "could not place"),
+            ("link: {distance_m: 1.0e-17}\n"
+             "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
+             "placement: fixed}\n", "fixed distance 1e-17 m is below"),
             ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 1.0e+5}\n",
              "lower max_delay"),
         ],
-        ids=["unplaceable_distance", "image_cube_too_large"],
+        ids=["unplaceable_distance", "distance_below_rounding_floor", "image_cube_too_large"],
     )
     def test_unrunnable_simulation_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = write_config(tmp_path, BASE + extra)
@@ -651,6 +654,31 @@ class TestTraceCsv:
         assert str(info.value).startswith(f"{path}: ")
 
 
+def fresh_env():
+    """Environment of a fresh interpreter that imports the roompol this one does."""
+    src = str(Path(roompol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Prints sys.modules last, also after a SystemExit; -X importtime would miss
+# what importlib.import_module loads.
+_PRINT_MODULES_AT_EXIT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+)
+# `python -m roompol.cli`, as runpy runs it
+RUN_CLI = "import runpy; runpy.run_module('roompol.cli', run_name='__main__', alter_sys=True)"
+
+
+def run_fresh(code, *argv):
+    """Run `code` with `argv` in a fresh interpreter; the process and the modules it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _PRINT_MODULES_AT_EXIT + code, *argv],
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
 class TestImportGraph:
     # Runs in a fresh interpreter, since this one has loaded scipy already.
     SCRIPT = """
@@ -695,13 +723,10 @@ print(json.dumps(seen))
                 "cpr: {distances_m: [0.5, 1.8]}\n"
             )
             fh.write(TestSimulate.SIM.splitlines()[-1] + "\n")
-        src = str(Path(roompol.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, config, paths["co"], paths["cross"],
              str(tmp_path / "out.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
@@ -710,6 +735,49 @@ print(json.dumps(seen))
             "fit": [], "fit_numpy_ma": [], "eval_cpr_fit_numpy_random": [],
             "simplex_loads_optimize": True,
         }
+
+    # --help and usage errors exit before a command imports numpy, yaml and the model
+    @pytest.mark.parametrize(
+        "args, code, absent",
+        [
+            (["import roompol"], 0, ("numpy", "yaml", "roompol.")),
+            ([RUN_CLI, "--help"], 0, ("numpy", "yaml")),
+            ([RUN_CLI, "eval"], 2, ("numpy", "yaml")),
+        ],
+        ids=["import", "help", "usage_error"],
+    )
+    def test_lean_start(self, args, code, absent):
+        proc, loaded = run_fresh(*args)
+        assert proc.returncode == code, proc.stderr
+        assert "roompol" in loaded
+        assert sorted(m for m in loaded if m.startswith(absent)) == []
+
+
+class TestExports:
+    def test_each_name_is_its_home_modules_object(self):
+        assert len(set(roompol.__all__)) == len(roompol.__all__) == 38
+        for name in roompol.__all__:
+            home = sys.modules[f"roompol.{roompol._HOME[name]}"]
+            value = getattr(roompol, name)
+            assert value is getattr(home, name), name
+            if callable(value):  # the module that defines it, not one that imports it
+                assert value.__module__ == home.__name__, name
+
+    def test_first_use_of_a_submodule_resolves_it(self):
+        proc, loaded = run_fresh(
+            "import roompol; m = roompol.mirror; assert m.simulate_pdp is roompol.simulate_pdp"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "roompol.mirror" in loaded and "roompol.cli" not in loaded
+
+    def test_dir_lists_every_name(self):
+        listed = dir(roompol)
+        assert set(roompol.__all__) <= set(listed)
+        assert {"cli", "commands", "config", "io", "mirror", "model", "__version__"} <= set(listed)
+
+    def test_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="module 'roompol' has no attribute 'to_db'"):
+            roompol.to_db  # measurement's, which roompol does not export
 
 
 def test_readme_usage_lists_every_option_of_the_parser():
