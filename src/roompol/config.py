@@ -186,6 +186,8 @@ def _parse_grid(doc: dict) -> np.ndarray:
     n = int(round(span)) + 1
     if n < 2:
         raise ConfigError("grid must contain at least two samples")
+    if abs(span - round(span)) > 1e-6:
+        raise ConfigError("'grid.step_ns' must divide 'grid.stop_ns' - 'grid.start_ns' evenly")
     return (start + step * np.arange(n)) * 1e-9
 
 

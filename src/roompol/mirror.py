@@ -291,19 +291,16 @@ def _run_chunk(
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
     iz = lattice.cells[2]
     rows = max(1, _TILE // iz.size)
-    # An array unpickled in a pool worker has its own dtype object.
-    # A result takes the dtype of its first operand, so every array the
-    # arrivals are computed from is re-wrapped: `np.add.at` leaves its fast
-    # path for such a dtype.
-    g_pow = np.tile(np.asarray(g_pow, dtype=float), rows)
+    # An array unpickled in a pool worker has its own dtype object, and a
+    # result takes the dtype of its first operand. `np.add.at` leaves its fast
+    # path for such a dtype in the values it sums, and only mix reaches those
+    # (power = mix.take(flat)), so only mix is re-wrapped.
+    g_pow = np.tile(g_pow, rows)
     mix = np.tile(np.asarray(mix, dtype=complex), rows)
-    offsets, signs = (
-        [np.asarray(a, dtype=float) for a in arrays] for arrays in (lattice.offsets, lattice.signs)
-    )
 
     sq_x, sq_y, sq_z = (
         (off[None, :] + sign[None, :] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
-        for i, (off, sign) in enumerate(zip(offsets, signs))
+        for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
     )
     col_x, col_y, col_size = columns
     acc = np.zeros(n_bins, dtype=complex)

@@ -456,15 +456,17 @@ class TestExitCodes:
         assert code == 2
         assert "grid.stop_ns" in capsys.readouterr().err
 
-    # Finite values whose derived quantity overflows or is too large to build.
+    # Finite values whose derived quantity overflows, is too large to build,
+    # or would end past its stop (2.2 ns is 5.5 steps of 0.4 ns).
     @pytest.mark.parametrize(
         "old, new, key",
         [
             ("start_ns: 0.0, stop_ns: 60.0", "start_ns: -1.0e+308, stop_ns: 1.0e+308",
              "grid.step_ns"),
             ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 1.0e+7, step_ns: 1.0e-3", "grid.step_ns"),
+            ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4", "grid.step_ns"),
         ],
-        ids=["grid_overflow", "grid_too_many_samples"],
+        ids=["grid_overflow", "grid_too_many_samples", "grid_past_stop"],
     )
     def test_degenerate_derived_value_is_validation_error(self, tmp_path, capsys, old, new, key):
         cfg = write_config(tmp_path, BASE.replace(old, new))

@@ -292,6 +292,8 @@ INVALID = [
      r"grid\.stop_ns' must exceed 'grid\.start_ns"),
     ("one-sample-grid", BASE.replace("stop_ns: 60.0", "stop_ns: 0.04"),
      "grid must contain at least two samples"),
+    ("grid-past-stop", BASE.replace("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4"),
+     r"grid\.step_ns' must divide 'grid\.stop_ns' - 'grid\.start_ns' evenly"),
     ("unknown-method", BASE + "fit: {method: powell}\n", r"fit\.method' must be"),
     ("invalid-yaml", BASE + "link: {distance_m: 1.8\n", "not valid YAML"),
     ("repeated-key", BASE.replace("lx: 3.0,", "lx: 3.0, lx: 5.0,"),

@@ -571,6 +571,73 @@ class TestSimConfig:
             simulate_pdp(ROOM, MAT, V_MU, V_MU, wavelength, cfg)
 
 
+class TestPlacementStreams:
+    # Both samplers' streams, pinned for seed 0 in the 3x4x3 m room. A change
+    # to either moves every oracle bin, so one made on purpose updates these
+    # values together with bench/reference.
+    DIMS = np.array([3.0, 4.0, 3.0])
+
+    def test_uniform_stream(self):
+        # uniform draws times the room are exact, so the values are too
+        tx, rx = _sample_uniform(np.random.default_rng(0), 4, self.DIMS)
+        assert tx.tolist() == [
+            [1.910885061964363, 1.0791468550554812, 0.12292057180858407],
+            [0.04958290658558728, 3.2530809568010897, 2.738266731833165],
+            [1.8199073273015396, 2.9179862439359936, 1.6308749743962685],
+            [2.8052172713633046, 3.2634142164861286, 0.008215500510444285],
+        ]
+        assert rx.tolist() == [
+            [2.572212829762708, 0.13434230122185742, 2.1889663392898324],
+            [0.526966861807677, 3.4527156893995463, 1.624383660747275],
+            [0.8991356716121544, 1.6907488847906338, 0.0849590134363889],
+            [0.37284982949869183, 2.6824976587745213, 1.9415685347227503],
+        ]
+
+    # (distance, draw rounds, tx, rx); 4.2 m fits few enough draws that four
+    # placements take nine rounds of 128
+    FIXED = [
+        (1.8, 1,
+         [[1.0123347009429786, 2.351791642683625, 1.5132007929060831],
+          [0.5015236137077086, 3.104436062734444, 0.41963558897298925],
+          [1.4674185063756473, 1.7860127009626598, 1.79023888050851],
+          [1.4390489316455635, 2.193794577305406, 1.3668614599210862]],
+         [[0.04958290658558728, 3.2530809568010897, 2.738266731833165],
+          [1.8199073273015396, 2.9179862439359936, 1.6308749743962685],
+          [0.8991356716121544, 1.6907488847906338, 0.0849590134363889],
+          [1.8461553344437616, 1.5347102170475337, 2.991629807367633]]),
+        (4.2, 9,
+         [[0.7160829933774089, 3.0121267120597435, 0.9783559876363472],
+          [0.13546478465758338, 3.8446893255628987, 0.6550078899619627],
+          [2.0173413294044957, 0.18347844848715855, 1.8481007280585184],
+          [2.515671083457553, 0.3106333327404873, 0.13129812731313395]],
+         [[2.9752346788438038, 0.08672989489567051, 2.9729203822299786],
+          [1.9359823780371412, 0.058009771609999206, 0.4117089964055778],
+          [0.967470902460694, 3.9101448138606143, 0.22030163485842802],
+          [2.1952183639301883, 3.679014801094052, 2.619533714672137]]),
+    ]
+
+    @pytest.mark.parametrize("distance, rounds, tx_ref, rx_ref", FIXED, ids=["1.8m", "4.2m"])
+    def test_fixed_stream(self, distance, rounds, tx_ref, rx_ref):
+        # normal draws go through libm in their tail, so they are pinned to
+        # rtol 1e-12 rather than to the bit
+        rng = np.random.default_rng(0)
+        drawn = 0
+
+        class CountingRng:
+            def uniform(self, low, high, size):
+                return rng.uniform(low, high, size)
+
+            def normal(self, size):
+                nonlocal drawn
+                drawn += 1
+                return rng.normal(size=size)
+
+        tx, rx = _sample_fixed(CountingRng(), 4, self.DIMS, distance)
+        assert drawn == rounds
+        npt.assert_allclose(tx, tx_ref, rtol=1e-12, atol=0)
+        npt.assert_allclose(rx, rx_ref, rtol=1e-12, atol=0)
+
+
 class TestSimulate:
     def small_cfg(self, **kw):
         base = dict(n_realizations=4000, bin_width=1e-9, max_delay=20e-9, rng_seed=3)
