@@ -121,7 +121,6 @@ class FitResult:
     iterations: int
     converged: bool
     weakly_identified: bool
-    objective_history: np.ndarray
 
 
 def split_params(problem: FitProblem, g: float, gamma: float, xi: float) -> PdsParams:
@@ -329,12 +328,12 @@ def fit(problem: FitProblem) -> FitResult:
     start.append(noise0)
     u0 = _to_internal(start, problem.bounds)
 
-    history: list[float] = []
+    evaluations = 0
 
     def residual_u(u: np.ndarray) -> np.ndarray:
-        r = residual(_from_internal(u, problem.bounds), problem)
-        history.append(float(np.dot(r, r)))
-        return r
+        nonlocal evaluations
+        evaluations += 1
+        return residual(_from_internal(u, problem.bounds), problem)
 
     def jacobian_u(u: np.ndarray) -> np.ndarray:
         # central differences with step 1e-6 relative to the coordinate
@@ -397,10 +396,9 @@ def fit(problem: FitProblem) -> FitResult:
         xi=xi,
         noise_power=noise,
         residual_rms_db=float(np.sqrt(np.mean(final_res**2))),
-        iterations=len(history),
+        iterations=evaluations,
         converged=converged,
         weakly_identified=weakly_identified,
-        objective_history=np.array(history),
     )
 
 

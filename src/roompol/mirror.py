@@ -64,6 +64,7 @@ _PLACEMENTS = ("uniform", "fixed")
 
 _REACH_SLACK = 1e-9  # relative; see enumerate_images
 _MAX_CUBE_CELLS = 10**7  # image cube cells enumerate_images may build (80 MB of float64)
+_MAX_BINS = 10**7  # delay bins a SimConfig may ask for (160 MB of complex per chunk)
 # Placement acceptance floor of a fixed-distance chunk; see _sample_fixed.
 _MIN_ACCEPTANCE = 2e-5
 _PLACEMENT_SLACK = 64  # placements' worth of draws granted up front
@@ -108,6 +109,11 @@ class SimConfig:
         elif not self.los:
             raise ValueError("los=False is only meaningful for fixed placement")
         n_bins = self.max_delay / self.bin_width
+        if not n_bins <= _MAX_BINS:
+            raise ValueError(
+                f"bin_width ({self.bin_width}) gives more than {_MAX_BINS} delay bins "
+                f"up to max_delay ({self.max_delay})"
+            )
         if abs(n_bins - round(n_bins)) > 1e-6:
             raise ValueError("max_delay must be an integer multiple of bin_width")
 
@@ -143,17 +149,20 @@ class ImageLattice:
     """Mirror-image cells within reach of the room, as flat arrays.
 
     `offsets[i]` and `signs[i]` are the mirror tables of axis i (see
-    `_axis_images`). Cell k takes entry `cells[i][k]` of each table, so its
-    image coordinate along axis i is `offsets[i][j] + signs[i][j] * tx[i]`
-    with `j = cells[i][k]`. Cells are in lexicographic (x, y, z) order;
-    `bounces` holds each cell's exact wall-interaction count; the one cell
-    with zero bounces is the transmitter itself.
+    `_axis_images`); a cell's image coordinate along axis i is
+    `offsets[i][j] + signs[i][j] * tx[i]` for its entry j of that axis.
+    Cells are in lexicographic (x, y, z) order, so the cells sharing an
+    (x, y) entry pair form one run: `columns` = (col_x, col_y, col_size)
+    lists those pairs and their run lengths, and `iz` holds each cell's z
+    entry. `bounces` holds each cell's exact wall-interaction count; the one
+    cell with zero bounces is the transmitter itself.
     """
 
     dims: tuple[float, float, float]
     offsets: tuple[np.ndarray, np.ndarray, np.ndarray]
     signs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+    iz: np.ndarray
     bounces: np.ndarray
 
 
@@ -185,13 +194,19 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
         gap = np.maximum(0.0, np.maximum(lo - l, -(lo + l)))
         gap2.append(gap * gap)
     near = gap2[0][:, None, None] + gap2[1][None, :, None] + gap2[2][None, None, :]
-    cells = np.nonzero(near <= (reach * (1.0 + _REACH_SLACK)) ** 2)
+    keep = near <= (reach * (1.0 + _REACH_SLACK)) ** 2
+    per_column = keep.sum(axis=2)
+    col_x, col_y = np.nonzero(per_column)
+    col_size = per_column[col_x, col_y]
+    iz = np.nonzero(keep)[2]
+    bx, by, bz = (a[2] for a in per_axis)
     return ImageLattice(
         dims=dims,
         offsets=tuple(a[0] for a in per_axis),
         signs=tuple(a[1] for a in per_axis),
-        cells=cells,
-        bounces=sum(a[2][idx] for a, idx in zip(per_axis, cells)),
+        columns=(col_x, col_y, col_size),
+        iz=iz,
+        bounces=np.repeat(bx[col_x] + by[col_y], col_size) + bz[iz],
     )
 
 
@@ -260,28 +275,26 @@ def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
     return d2
 
 
-def _run_chunk(
-    seed_seq, n, *, cfg, lattice, columns, g_pow, mix, wavelength, d2_max, n_bins
-) -> np.ndarray:
+def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarray:
     """Accumulate binned co + 1j * cross powers for one chunk of n realizations.
 
     The (realization, cell) pairs are formed in C-ordered tiles of `rows`
     realizations by all cells, about `_TILE` pairs, so their arrays take
     O(max(_TILE, n_cells)) memory, whatever `_CHUNK` is (only the small
-    per-axis terms `sq` grow with it). `columns` = (col_x, col_y, col_size)
-    lists the distinct (x, y) entry pairs of the lattice, each a run of
-    col_size consecutive cells: a tile sums x + y once per column, repeats
-    it over the column's cells and adds z, so every d2 is still (x + y) + z.
-    Only arrivals before max_delay are gathered, in row-major order, and
-    `np.add.at` adds each into its bin in that order, as one `np.bincount`
-    over the chunk would: every bin sum is bit-identical to the untiled one.
+    per-axis terms `sq` grow with it). A tile sums x + y once per column of
+    `lattice.columns`, repeats it over the column's cells and adds z, so
+    every d2 is still (x + y) + z. Only arrivals before max_delay are
+    gathered, in row-major order, and `np.add.at` adds each into its bin in
+    that order, as one `np.bincount` over the chunk would: every bin sum is
+    bit-identical to the untiled one.
 
     One compare keeps the pairs with d2 <= d2_max (`_max_kept_d2`); of those,
     only a transmitter exactly on the receiver has d2 == 0, and it is dropped
     among the kept arrivals before any division. Sqrt, delay and power are
     then formed in place for the survivors only. `g_pow` (g^B) and `mix`
-    (co + 1j * cross) hold one entry per cell; tiled here to `rows` rows, each
-    is one gather by flat index, and one complex sum per bin holds both.
+    (co + 1j * cross) are formed here from `lattice.bounces` and `params`,
+    one entry per cell; tiled to `rows` rows, each is one gather by flat
+    index, and one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array(lattice.dims)
@@ -289,20 +302,26 @@ def _run_chunk(
         tx, rx = _sample_uniform(rng, n, dims)
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
-    iz = lattice.cells[2]
-    rows = max(1, _TILE // iz.size)
-    # An array unpickled in a pool worker has its own dtype object, and a
-    # result takes the dtype of its first operand. `np.add.at` leaves its fast
-    # path for such a dtype in the values it sums, and only mix reaches those
-    # (power = mix.take(flat)), so only mix is re-wrapped.
-    g_pow = np.tile(g_pow, rows)
-    mix = np.tile(np.asarray(mix, dtype=complex), rows)
+    rows = max(1, _TILE // lattice.iz.size)
+    material = params.material
+    g_pow = np.tile(material.g ** lattice.bounces.astype(float), rows)
+    # A channel's weight is half its two split parts; g^B stays in g_pow.
+    rho_pow = _rho_power(material.gamma, lattice.bounces)
+    splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(params))
+    mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
+    mix = mix_co + 1j * mix_cross
+    if cfg.placement == "fixed" and not cfg.los:
+        # The transmitter's cell, the one with zero bounces, weighs nothing.
+        # Its arrival adds +0.0 to a bin that holds a sum of terms >= +0.0,
+        # so every bin keeps its bits.
+        mix[lattice.bounces == 0] = 0.0
+    mix = np.tile(mix, rows)
 
     sq_x, sq_y, sq_z = (
         (off[None, :] + sign[None, :] * tx[:, i : i + 1] - rx[:, i : i + 1]) ** 2
         for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
     )
-    col_x, col_y, col_size = columns
+    col_x, col_y, col_size = lattice.columns
     acc = np.zeros(n_bins, dtype=complex)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
@@ -310,7 +329,7 @@ def _run_chunk(
         xy = sq_x[r : r + rows].take(col_x, axis=1)
         xy += sq_y[r : r + rows].take(col_y, axis=1)
         d2 = np.repeat(xy, col_size, axis=1)
-        d2 += sq_z[r : r + rows].take(iz, axis=1)
+        d2 += sq_z[r : r + rows].take(lattice.iz, axis=1)
         flat = np.flatnonzero(d2 <= d2_max)
         d2 = d2.ravel().take(flat)
         if not d2.all():  # a transmitter exactly on the receiver
@@ -322,7 +341,7 @@ def _run_chunk(
         idx = tau.astype(np.int64)
         # d2 becomes the arrival power g^B * lambda^2 / (4 pi d2), in place
         d2 *= 4.0 * np.pi
-        np.divide(wavelength * wavelength, d2, out=d2)
+        np.divide(params.wavelength * params.wavelength, d2, out=d2)
         d2 *= g_pow.take(flat)
         power = mix.take(flat)
         power *= d2
@@ -374,28 +393,9 @@ def simulate_pdp(
         )
     n_bins = int(round(cfg.max_delay / cfg.bin_width))
 
-    lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)
-    g_pow = material.g ** lattice.bounces.astype(float)
-    # A channel's weight is half its two split parts; g^B stays in g_pow.
-    rho_pow = _rho_power(material.gamma, lattice.bounces)
-    splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(p))
-    mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
-    mix = mix_co + 1j * mix_cross
-    if cfg.placement == "fixed" and not cfg.los:
-        # The transmitter's cell, the one with zero bounces, weighs nothing.
-        # Its arrival adds +0.0 to a bin that holds a sum of terms >= +0.0,
-        # so every bin keeps its bits.
-        mix[lattice.bounces == 0] = 0.0
-
-    # Cells are in lexicographic (x, y, z) order, so each distinct (x, y)
-    # entry pair is one run of consecutive cells.
-    ix, iy, _ = lattice.cells
-    starts = np.ones(ix.size, dtype=bool)
-    starts[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
-    columns = (ix[starts], iy[starts], np.diff(np.flatnonzero(starts), append=ix.size))
     run = functools.partial(
-        _run_chunk, cfg=cfg, lattice=lattice, columns=columns, g_pow=g_pow, mix=mix, n_bins=n_bins,
-        wavelength=wavelength, d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins),
+        _run_chunk, cfg=cfg, lattice=enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay),
+        params=p, d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
     )
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))

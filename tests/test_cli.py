@@ -486,8 +486,11 @@ class TestExitCodes:
              "placement: fixed}\n", "fixed distance 1e-17 m is below"),
             ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 1.0e+5}\n",
              "lower max_delay"),
+            ("simulation: {realizations: 10, bin_width_ns: 1.0e-9, max_delay_ns: 20.0}\n",
+             "bin_width (1e-18) gives more than 10000000 delay bins"),
         ],
-        ids=["unplaceable_distance", "distance_below_rounding_floor", "image_cube_too_large"],
+        ids=["unplaceable_distance", "distance_below_rounding_floor", "image_cube_too_large",
+             "too_many_bins"],
     )
     def test_unrunnable_simulation_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = write_config(tmp_path, BASE + extra)

@@ -44,10 +44,16 @@ def count_plane_crossings(image_pos, rx, dims):
     return total
 
 
+def lattice_cells(lattice):
+    """Each cell's (x, y, z) mirror entries, rebuilt from the lattice's column layout."""
+    col_x, col_y, col_size = lattice.columns
+    return np.repeat(col_x, col_size), np.repeat(col_y, col_size), lattice.iz
+
+
 def image_positions(lattice, tx):
     """Image positions, shape (..., n_cells, 3), of transmitters tx of shape (..., 3)."""
     tx = np.asarray(tx, dtype=float)[..., None, :]
-    axes = zip(lattice.offsets, lattice.signs, lattice.cells)
+    axes = zip(lattice.offsets, lattice.signs, lattice_cells(lattice))
     return np.stack([off[j] + sign[j] * tx[..., i] for i, (off, sign, j) in enumerate(axes)], -1)
 
 
@@ -229,7 +235,7 @@ class TestReachPruning:
         dist = [(off + sign * tx[i] - rx[i]) ** 2 for i, (off, sign, _) in enumerate(per_axis)]
         near = dist[0][:, None, None] + dist[1][None, :, None] + dist[2][None, None, :] < reach**2
         kept = np.zeros(near.shape, dtype=bool)
-        kept[lattice.cells] = True
+        kept[lattice_cells(lattice)] = True
         assert not np.any(near & ~kept)
 
     @pytest.mark.parametrize(
@@ -336,10 +342,11 @@ class TestTiling:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_each_task_carries_one_weight_per_cell(self, monkeypatch):
-        # The chunk tiles g^B and the mix to its own tile height, so the
-        # runner a pool task pickles holds them once per lattice cell (61 KiB
-        # at 53 ns; tiled to the chunk's 15 rows they would take 403 KiB).
+    def test_each_task_carries_the_lattice_and_the_model(self, monkeypatch):
+        # The chunk forms g^B and the mix from lattice.bounces and the model's
+        # parameters, so the runner a pool task pickles binds the run's inputs
+        # only: 21 KiB at 53 ns. Per-cell weights and every cell's x and y
+        # entry would add about 40 KiB more.
         runners = []
 
         def recording_map(fn, *args):
@@ -350,9 +357,8 @@ class TestTiling:
         cfg = SimConfig(n_realizations=10, bin_width=1e-9, max_delay=53e-9)
         simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
         (run,) = runners
-        n_cells = enumerate_images(ROOM, SPEED_OF_LIGHT * cfg.max_delay).bounces.size
-        assert run.keywords["g_pow"].shape == run.keywords["mix"].shape == (n_cells,)
-        assert len(pickle.dumps(run)) < 64 * 1024
+        assert set(run.keywords) == {"cfg", "lattice", "params", "d2_max", "n_bins"}
+        assert len(pickle.dumps(run)) < 24 * 1024
 
 
 class TestKeepBound:
@@ -468,6 +474,13 @@ class TestSimConfig:
             SimConfig(n_realizations=10, bin_width=0.0, max_delay=1e-9)
         with pytest.raises(ValueError, match="integer multiple"):
             SimConfig(n_realizations=10, bin_width=1e-9, max_delay=10.5e-9)
+        # 2e10 bins, 298 GiB of complex partial sums: rejected before any array exists
+        with pytest.raises(ValueError, match=r"bin_width \(1e-18\) gives more than 10000000"):
+            SimConfig(n_realizations=10, bin_width=1e-18, max_delay=20e-9)
+        SimConfig(n_realizations=10, bin_width=1e-15, max_delay=10e-9)  # exactly 10**7 bins
+        # a bin count that overflows to inf is refused by the same rule
+        with pytest.raises(ValueError, match="bin_width"):
+            SimConfig(n_realizations=10, bin_width=1e-309, max_delay=1e291)
         with pytest.raises(ValueError, match="n_realizations"):
             SimConfig(n_realizations=0, bin_width=1e-9, max_delay=10e-9)
         for bad in (math.inf, math.nan):
