@@ -27,7 +27,6 @@ _EXPORTS = {
         "WallMaterial",
         "bounce_count_table",
         "bounce_matrix",
-        "bounce_matrix_power",
         "channel_pair",
         "co_cross_ratio",
         "cpr",

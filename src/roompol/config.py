@@ -19,7 +19,7 @@ import yaml
 from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS, DEFAULT_MAX_ITERATIONS, METHODS
 from .measurement import PulseShape
 from .mirror import SimConfig
-from .model import DistanceCondition, PolGain, RoomGeometry, WallMaterial
+from .model import _MAX_CELLS, DistanceCondition, PolGain, RoomGeometry, WallMaterial
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,6 @@ _SCHEMA = {
     "cpr": {"distances_m"},
 }
 _REQUIRED_SECTIONS = ("room", "carrier")
-_MAX_GRID_SAMPLES = 10**7
 
 
 def _check_schema(doc) -> dict:
@@ -181,8 +180,8 @@ def _parse_grid(doc: dict) -> np.ndarray:
     if stop <= start:
         raise ConfigError("'grid.stop_ns' must exceed 'grid.start_ns'")
     span = (stop - start) / step
-    if not span <= _MAX_GRID_SAMPLES - 1:
-        raise ConfigError(f"'grid.step_ns' gives more than {_MAX_GRID_SAMPLES} grid samples")
+    if not span <= _MAX_CELLS - 1:
+        raise ConfigError(f"'grid.step_ns' gives more than {_MAX_CELLS} grid samples")
     n = int(round(span)) + 1
     if n < 2:
         raise ConfigError("grid must contain at least two samples")

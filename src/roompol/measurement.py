@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DistanceCondition, PdsParams, _require_positive, direct_path, pds_conditional
+from .model import (
+    _MAX_CELLS, DistanceCondition, PdsParams, _require_positive, direct_path, pds_conditional,
+)
 
 _PULSE_KINDS = ("boxcar", "gaussian")
 # -3 dB matched width factor for the gaussian pulse: std = 1 / (2 pi B * 0.3)
 _GAUSSIAN_WIDTH_FACTOR = 0.3
-_MAX_PULSE_TAPS = 10**7  # taps on each side of the pulse centre that pulse_taps may tabulate
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
     """
     _require_positive("grid spacing", spacing)
     half = pulse.half_support() / spacing
-    if not half <= _MAX_PULSE_TAPS:
+    if not half <= _MAX_CELLS:  # taps on each side of the pulse centre
         raise ValueError(
-            f"pulse bandwidth {pulse.bandwidth:.4g} Hz needs more than {_MAX_PULSE_TAPS} taps "
+            f"pulse bandwidth {pulse.bandwidth:.4g} Hz needs more than {_MAX_CELLS} taps "
             f"each side of its centre on a {spacing:.4g} s grid"
         )
     k = int(math.ceil(half)) + 1

@@ -43,6 +43,7 @@ import numpy as np
 
 from .measurement import PdpTrace
 from .model import (
+    _MAX_CELLS,
     SPEED_OF_LIGHT,
     DistanceCondition,
     PdsParams,
@@ -63,8 +64,7 @@ _TILE = 2**14  # (realization, cell) pairs formed at once inside a chunk; bounds
 _PLACEMENTS = ("uniform", "fixed")
 
 _REACH_SLACK = 1e-9  # relative; see enumerate_images
-_MAX_CUBE_CELLS = 10**7  # image cube cells enumerate_images may build (80 MB of float64)
-_MAX_BINS = 10**7  # delay bins a SimConfig may ask for (160 MB of complex per chunk)
+_MAX_REALIZATIONS = 10**9  # about 490k chunks, whose seeds and sizes take about 190 MB
 # Placement acceptance floor of a fixed-distance chunk; see _sample_fixed.
 _MIN_ACCEPTANCE = 2e-5
 _PLACEMENT_SLACK = 64  # placements' worth of draws granted up front
@@ -91,6 +91,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _require_int("n_realizations", self.n_realizations, 1)
+        if self.n_realizations > _MAX_REALIZATIONS:
+            raise ValueError(
+                f"n_realizations must be <= {_MAX_REALIZATIONS}, got {self.n_realizations}"
+            )
         _require_int("rng_seed", self.rng_seed, 0)
         _require_positive("bin_width", self.bin_width)
         if not self.bin_width < self.max_delay < math.inf:
@@ -109,9 +113,9 @@ class SimConfig:
         elif not self.los:
             raise ValueError("los=False is only meaningful for fixed placement")
         n_bins = self.max_delay / self.bin_width
-        if not n_bins <= _MAX_BINS:
+        if not n_bins <= _MAX_CELLS:
             raise ValueError(
-                f"bin_width ({self.bin_width}) gives more than {_MAX_BINS} delay bins "
+                f"bin_width ({self.bin_width}) gives more than {_MAX_CELLS} delay bins "
                 f"up to max_delay ({self.max_delay})"
             )
         if abs(n_bins - round(n_bins)) > 1e-6:
@@ -158,7 +162,6 @@ class ImageLattice:
     cell with zero bounces is the transmitter itself.
     """
 
-    dims: tuple[float, float, float]
     offsets: tuple[np.ndarray, np.ndarray, np.ndarray]
     signs: tuple[np.ndarray, np.ndarray, np.ndarray]
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -177,14 +180,14 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
     transmitter and receiver inside the room. The relative slack on `reach`
     keeps that guarantee when rounding shifts a squared distance by an ulp.
     The full cube is built before pruning, so its cell count, which grows as
-    reach**3, is checked against `_MAX_CUBE_CELLS` before any array exists.
+    reach**3, is checked against `_MAX_CELLS` before any array exists.
     """
     _require_positive("reach", reach)
     dims = (room.lx, room.ly, room.lz)
     n_cube = math.prod(sum(hi - lo + 1 for lo, hi in _axis_p_ranges(l, reach)) for l in dims)
-    if n_cube > _MAX_CUBE_CELLS:
+    if n_cube > _MAX_CELLS:
         raise ValueError(
-            f"reach {reach:.4g} m needs more than {_MAX_CUBE_CELLS} mirror-image cells; "
+            f"reach {reach:.4g} m needs more than {_MAX_CELLS} mirror-image cells; "
             "lower max_delay"
         )
     per_axis = [_axis_images(l, reach) for l in dims]
@@ -201,7 +204,6 @@ def enumerate_images(room: RoomGeometry, reach: float) -> ImageLattice:
     iz = np.nonzero(keep)[2]
     bx, by, bz = (a[2] for a in per_axis)
     return ImageLattice(
-        dims=dims,
         offsets=tuple(a[0] for a in per_axis),
         signs=tuple(a[1] for a in per_axis),
         columns=(col_x, col_y, col_size),
@@ -297,7 +299,7 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarr
     index, and one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
-    dims = np.array(lattice.dims)
+    dims = np.array([params.room.lx, params.room.ly, params.room.lz])
     if cfg.placement == "uniform":
         tx, rx = _sample_uniform(rng, n, dims)
     else:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+# Entries any one array sized by an input may hold: 80 MB of float64, 160 MB of complex.
+_MAX_CELLS = 10**7
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -45,6 +47,9 @@ class RoomGeometry:
     def __post_init__(self) -> None:
         for name in ("lx", "ly", "lz"):
             _require_positive(f"room dimension {name}", getattr(self, name))
+        # the time constants are V / S times a factor: neither may under- or overflow
+        _require_positive("room volume", self.volume())
+        _require_positive("room surface", self.surface())
 
     def volume(self) -> float:
         return self.lx * self.ly * self.lz
@@ -147,19 +152,6 @@ def bounce_matrix(material: WallMaterial) -> np.ndarray:
     return (g / (1.0 + gamma)) * np.array([[1.0, gamma], [gamma, 1.0]])
 
 
-def bounce_matrix_power(material: WallMaterial, n: float) -> np.ndarray:
-    """Closed-form n-th power of the bounce matrix, valid for any real n >= 0.
-
-    Uses the eigenvalues {1, (1-gamma)/(1+gamma)} of the unit-gain mixing
-    matrix, whose eigenvectors are the equal-split and anti-symmetric
-    polarization states; its entries are the two parts of `bounce_split`.
-    """
-    if n < 0:
-        raise ValueError(f"matrix power exponent must be >= 0, got {n}")
-    same, other = bounce_split(1.0, 1.0, material.g**n / 2.0, _rho_power(material.gamma, n))
-    return np.array([[same, other], [other, same]])
-
-
 def _rho_power(gamma: float, n):
     """rho^n for rho = (1-gamma)/(1+gamma), the unit-gain bounce matrix's second eigenvalue."""
     return ((1.0 - gamma) / (1.0 + gamma)) ** n
@@ -257,9 +249,9 @@ def _like(tau_arr: np.ndarray, x):
     return float(x) if tau_arr.ndim == 0 else x
 
 
-def _gated(tau_arr: np.ndarray, co, cross):
-    """The (co, cross) pair, zero for tau < 0 and floats for a scalar tau."""
-    return tuple(_like(tau_arr, np.where(tau_arr >= 0, part, 0.0)) for part in (co, cross))
+def _gated(tau_arr: np.ndarray, *curves):
+    """The curves as a tuple, each zero for tau < 0 and a float for a scalar tau."""
+    return tuple(_like(tau_arr, np.where(tau_arr >= 0, curve, 0.0)) for curve in curves)
 
 
 def pds_components(tau, p: PdsParams):
@@ -285,7 +277,6 @@ def pds_components(tau, p: PdsParams):
 
 _OCTANT_NODES = 64  # Gauss-Legendre nodes in cos(theta) and midpoints in phi
 _TAU_BLOCK = 8  # delays per block of bounce_count_table: (3 x delays x directions) arrays
-_MAX_TABLE_CELLS = 10**7  # cells bounce_count_table may build (80 MB of float64)
 
 
 def _octant_directions() -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +309,7 @@ def bounce_count_table(tau, room: RoomGeometry) -> np.ndarray:
 
     The table depends on the room and the delays only; the column count K
     covers the largest count reached. Rows sum to one up to rounding. Delays
-    must be finite, and the table may hold at most `_MAX_TABLE_CELLS` cells.
+    must be finite, and the table may hold at most `_MAX_CELLS` cells.
     """
     tau = _delays(tau).ravel()
     if not np.all(np.isfinite(tau)):
@@ -326,9 +317,9 @@ def bounce_count_table(tau, room: RoomGeometry) -> np.ndarray:
     u, weights = _octant_directions()
     scale = SPEED_OF_LIGHT * u / np.array([room.lx, room.ly, room.lz])[:, None]
     top = np.floor(tau.max(initial=0.0) * scale).sum(axis=0).max()
-    if tau.size * (top + 4.0) > _MAX_TABLE_CELLS:
+    if tau.size * (top + 4.0) > _MAX_CELLS:
         raise ValueError(f"largest delay {tau.max():.4g} s: {tau.size} delays need "
-                         f"more than {_MAX_TABLE_CELLS} table cells; lower it")
+                         f"more than {_MAX_CELLS} table cells; lower it")
     n_k = int(top) + 4
     table = np.zeros((tau.size, n_k))
     for start in range(0, tau.size, _TAU_BLOCK):
@@ -392,7 +383,7 @@ def pds_asymptote(tau, p: PdsParams):
     t_rev = reverberation_time(p.room, p.material)
     k_co, k_cross = _mu_products(p)
     curve = _amplitude(p) * np.exp(-np.maximum(tau_arr, 0.0) / t_rev) * (k_co + k_cross)
-    return _like(tau_arr, np.where(tau_arr >= 0, curve, 0.0))
+    return _gated(tau_arr, curve)[0]
 
 
 def co_cross_ratio(tau, p: PdsParams):

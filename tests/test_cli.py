@@ -456,8 +456,8 @@ class TestExitCodes:
         assert code == 2
         assert "grid.stop_ns" in capsys.readouterr().err
 
-    # Finite values whose derived quantity overflows, is too large to build,
-    # or would end past its stop (2.2 ns is 5.5 steps of 0.4 ns).
+    # Finite values whose derived quantity under- or overflows, is too large
+    # to build, or would end past its stop (2.2 ns is 5.5 steps of 0.4 ns).
     @pytest.mark.parametrize(
         "old, new, key",
         [
@@ -465,8 +465,13 @@ class TestExitCodes:
              "grid.step_ns"),
             ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 1.0e+7, step_ns: 1.0e-3", "grid.step_ns"),
             ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4", "grid.step_ns"),
+            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e-300, ly: 1.0e-300, lz: 1.0e-300",
+             "[room] room volume must be > 0, got 0.0"),
+            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e+200, ly: 1.0e+200, lz: 1.0e+200",
+             "[room] room volume must be > 0 and finite, got inf"),
         ],
-        ids=["grid_overflow", "grid_too_many_samples", "grid_past_stop"],
+        ids=["grid_overflow", "grid_too_many_samples", "grid_past_stop", "room_volume_underflow",
+             "room_volume_overflow"],
     )
     def test_degenerate_derived_value_is_validation_error(self, tmp_path, capsys, old, new, key):
         cfg = write_config(tmp_path, BASE.replace(old, new))
@@ -488,9 +493,11 @@ class TestExitCodes:
              "lower max_delay"),
             ("simulation: {realizations: 10, bin_width_ns: 1.0e-9, max_delay_ns: 20.0}\n",
              "bin_width (1e-18) gives more than 10000000 delay bins"),
+            ("simulation: {realizations: 1000000000000, bin_width_ns: 1.0, max_delay_ns: 20.0}\n",
+             "[simulation] n_realizations must be <= 1000000000, got 1000000000000"),
         ],
         ids=["unplaceable_distance", "distance_below_rounding_floor", "image_cube_too_large",
-             "too_many_bins"],
+             "too_many_bins", "too_many_realizations"],
     )
     def test_unrunnable_simulation_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = write_config(tmp_path, BASE + extra)
@@ -760,7 +767,7 @@ print(json.dumps(seen))
 
 class TestExports:
     def test_each_name_is_its_home_modules_object(self):
-        assert len(set(roompol.__all__)) == len(roompol.__all__) == 38
+        assert len(set(roompol.__all__)) == len(roompol.__all__) == 37
         for name in roompol.__all__:
             home = sys.modules[f"roompol.{roompol._HOME[name]}"]
             value = getattr(roompol, name)

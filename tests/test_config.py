@@ -307,6 +307,15 @@ INVALID = [
 ]
 
 
+def test_grid_cap_is_exact(tmp_path, monkeypatch):
+    # BASE's grid holds 601 samples, 0 to 60 ns in steps of 0.1 ns
+    monkeypatch.setattr("roompol.config._MAX_CELLS", 601)
+    assert load_run_config(write(tmp_path, BASE)).grid.size == 601
+    monkeypatch.setattr("roompol.config._MAX_CELLS", 600)
+    with pytest.raises(ConfigError, match=r"grid\.step_ns' gives more than 600 grid samples"):
+        load_run_config(write(tmp_path, BASE))
+
+
 @pytest.mark.parametrize("text, field", [c[1:] for c in INVALID], ids=[c[0] for c in INVALID])
 def test_invalid_documents_name_the_field(tmp_path, text, field):
     with pytest.raises(ConfigError, match=field):

@@ -82,9 +82,9 @@ class TestPulse:
     def test_tap_cap_is_exact(self, monkeypatch):
         # a boxcar of bandwidth 1/8 on a unit grid reaches exactly 4 steps each side
         pulse = PulseShape(kind="boxcar", bandwidth=0.125)
-        monkeypatch.setattr(measurement, "_MAX_PULSE_TAPS", 4)
+        monkeypatch.setattr(measurement, "_MAX_CELLS", 4)
         assert pulse_taps(pulse, 1.0).size == 11
-        monkeypatch.setattr(measurement, "_MAX_PULSE_TAPS", 3)
+        monkeypatch.setattr(measurement, "_MAX_CELLS", 3)
         with pytest.raises(ValueError, match="more than 3 taps"):
             pulse_taps(pulse, 1.0)
 

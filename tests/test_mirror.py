@@ -175,9 +175,9 @@ class TestEnumerateImages:
     def test_cube_cap_is_exact(self, monkeypatch):
         # 1859 cells at 31 ns (TestReachPruning.test_kept_cell_counts)
         reach = SPEED_OF_LIGHT * 31e-9
-        monkeypatch.setattr(mirror, "_MAX_CUBE_CELLS", 1859)
+        monkeypatch.setattr(mirror, "_MAX_CELLS", 1859)
         assert enumerate_images(ROOM, reach).bounces.size == 323
-        monkeypatch.setattr(mirror, "_MAX_CUBE_CELLS", 1858)
+        monkeypatch.setattr(mirror, "_MAX_CELLS", 1858)
         with pytest.raises(ValueError, match="lower max_delay"):
             enumerate_images(ROOM, reach)
 
@@ -421,7 +421,7 @@ class TestCountTableAgainstLattice:
         """(batch, bin, count) sums of 1/d^2 over the arrivals before max_delay."""
         lattice = enumerate_images(room, SPEED_OF_LIGHT * max_delay)
         n_bins, n_k = int(round(max_delay / self.BIN)), int(lattice.bounces.max()) + 1
-        dims = np.array(lattice.dims)
+        dims = np.array([room.lx, room.ly, room.lz])
         out = np.zeros((self.N_BATCHES, n_bins, n_k))
         for batch in out:
             tx, rx = _sample_uniform(rng, self.PER_BATCH, dims)
@@ -483,6 +483,12 @@ class TestSimConfig:
             SimConfig(n_realizations=10, bin_width=1e-309, max_delay=1e291)
         with pytest.raises(ValueError, match="n_realizations"):
             SimConfig(n_realizations=0, bin_width=1e-9, max_delay=10e-9)
+        # 10**12 realizations would need about 5e8 chunk seeds before any chunk runs
+        SimConfig(n_realizations=10**9, bin_width=1e-9, max_delay=10e-9)
+        with pytest.raises(ValueError, match="must be <= 1000000000, got 1000000001$"):
+            SimConfig(n_realizations=10**9 + 1, bin_width=1e-9, max_delay=10e-9)
+        with pytest.raises(ValueError, match="n_realizations must be <= 1000000000"):
+            SimConfig(n_realizations=10**12, bin_width=1e-9, max_delay=10e-9)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="max_delay.*finite"):
                 SimConfig(n_realizations=1, bin_width=1e-9, max_delay=bad)

@@ -19,7 +19,6 @@ from roompol import (
     WallMaterial,
     bounce_count_table,
     bounce_matrix,
-    bounce_matrix_power,
     channel_pair,
     co_cross_ratio,
     cpr,
@@ -35,7 +34,7 @@ from roompol import (
     reverberation_time,
     wall_material_from_times,
 )
-from roompol.model import _octant_directions
+from roompol.model import _octant_directions, bounce_split
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 MAT = WallMaterial(g=0.4, gamma=0.04)
@@ -88,6 +87,21 @@ class TestTypes:
     @pytest.mark.parametrize("dims", [(0, 4, 3), (3, -1, 3), (3, 4, 0)])
     def test_room_rejects_nonpositive_dimensions(self, dims):
         with pytest.raises(ValueError, match="room dimension"):
+            RoomGeometry(*dims)
+
+    # Positive finite sides whose volume or surface under- or overflows:
+    # the time constants divide by S and scale with V.
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((1e-300,) * 3, "room volume must be > 0, got 0.0"),
+            ((1e200,) * 3, "room volume must be > 0 and finite, got inf"),
+            ((1e200, 1e-200, 1e200), "room surface must be > 0 and finite, got inf"),
+        ],
+        ids=["volume_underflow", "volume_overflow", "surface_overflow"],
+    )
+    def test_room_rejects_unrepresentable_volume_or_surface(self, dims, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RoomGeometry(*dims)
 
     @pytest.mark.parametrize("g", [0.0, 1.0, -0.1, 1.5])
@@ -174,19 +188,17 @@ class TestBounceMatrix:
         npt.assert_allclose(a.sum(axis=1), [g, g], rtol=1e-14)
 
     def test_closed_form_power_matches_repeated_multiplication(self):
+        # the n-th power's entries are the two parts of the split at unit gains
         a = bounce_matrix(MAT)
         ratio = (1.0 - MAT.gamma) / (1.0 + MAT.gamma)
         q = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         for n in range(51):
             by_mult = np.linalg.matrix_power(a, n)
             by_eig = MAT.g**n * (q @ np.diag([1.0, ratio**n]) @ np.linalg.inv(q))
-            closed = bounce_matrix_power(MAT, n)
+            same, other = bounce_split(1.0, 1.0, MAT.g**n / 2.0, ratio**n)
+            closed = np.array([[same, other], [other, same]])
             npt.assert_allclose(closed, by_mult, rtol=1e-10, atol=1e-13)
             npt.assert_allclose(closed, by_eig, rtol=1e-10, atol=1e-13)
-
-    def test_power_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            bounce_matrix_power(MAT, -1)
 
 
 class TestTimeConstants:
@@ -502,6 +514,15 @@ class TestBounceCountTable:
         with pytest.raises(ValueError, match=r"largest delay 0\.001 s: 70 delays need more"):
             bounce_count_table(np.full(70, 1e-3), ROOM)
         assert bounce_count_table(np.array([1e-3]), ROOM).shape[1] > 150_000
+
+    def test_table_cap_is_exact(self, monkeypatch):
+        # at 20 ns at most 3 whole room lengths fit in the 3x4x3 m room: 3 x (3 + 4) cells
+        tau = np.array([0.0, 10e-9, 20e-9])
+        monkeypatch.setattr("roompol.model._MAX_CELLS", 21)
+        assert bounce_count_table(tau, ROOM).shape == (3, 7)
+        monkeypatch.setattr("roompol.model._MAX_CELLS", 20)
+        with pytest.raises(ValueError, match="3 delays need more than 20 table cells"):
+            bounce_count_table(tau, ROOM)
 
 
 class TestCoCrossRatio:
