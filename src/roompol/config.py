@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS, DEFAULT_MAX_ITERATIONS, METHODS
+from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS
 from .measurement import PulseShape
 from .mirror import SimConfig
-from .model import _MAX_CELLS, DistanceCondition, PolGain, RoomGeometry, WallMaterial
+from .model import _MAX_CELLS, DistanceCondition, PolGain, RoomGeometry, WallMaterial, _require_length
 
 
 class ConfigError(ValueError):
@@ -209,12 +209,9 @@ def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
 
 
 def _parse_fit(doc: dict) -> dict:
-    """The [fit] section as `fitting.FitProblem` keyword arguments."""
+    """The [fit] section as `fitting.FitProblem` keyword arguments; an absent key keeps its default."""
     window = _get(doc, "fit", "window_ns", "pair", None)
-    method = _get(doc, "fit", "method", "string", METHODS[0])
-    if method not in METHODS:
-        raise ConfigError(f"'fit.method' must be {' or '.join(map(repr, METHODS))}")
-    return dict(
+    kwargs = dict(
         initial_guess=tuple(
             _get(doc, "fit", key, "number", default)
             for key, default in zip(("g0", "gamma0", "xi0", "noise0"), DEFAULT_GUESS)
@@ -224,9 +221,10 @@ def _parse_fit(doc: dict) -> dict:
             for key, default in zip(("bounds_g", "bounds_gamma", "bounds_xi"), DEFAULT_BOUNDS)
         ),
         fit_window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
-        method=method,
-        max_iterations=_get(doc, "fit", "max_iterations", "integer", DEFAULT_MAX_ITERATIONS),
+        method=_get(doc, "fit", "method", "string", None),
+        max_iterations=_get(doc, "fit", "max_iterations", "integer", None),
     )
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -243,8 +241,7 @@ def load_run_config(path: str) -> RunConfig:
         }),
         wavelength=_get(doc, "carrier", "wavelength_m", "number"),
     )
-    if cfg.wavelength <= 0:
-        raise ConfigError("'carrier.wavelength_m' must be > 0")
+    _build("carrier", _require_length, name="wavelength", value=cfg.wavelength)
     if "material" in doc:
         cfg.material = _build(
             "material", WallMaterial, g=_get(doc, "material", "g", "number"),

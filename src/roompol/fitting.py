@@ -28,16 +28,15 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     _require_int,
+    _require_length,
     _require_positive,
     channel_pair,
 )
 
-# Fit defaults, shared by `FitProblem` and the run config's [fit] section.
-# The first method is the default one.
-METHODS = ("least_squares", "simplex")
+METHODS = ("least_squares", "simplex")  # the first is the default one
+# `FitProblem`'s defaults, which the run config's [fit] section fills key by key
 DEFAULT_GUESS = (0.5, 0.05, 0.05, None)
 DEFAULT_BOUNDS = ((1e-6, 1.0 - 1e-6),) * 3
-DEFAULT_MAX_ITERATIONS = 2000
 # Convergence policy: stop on relative objective decrease below 1e-10 or
 # step norm below 1e-12, within the evaluation budget.
 _FTOL = 1e-10
@@ -64,12 +63,12 @@ class FitProblem:
     initial_guess: tuple[float, float, float, float | None] = DEFAULT_GUESS
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     method: str = METHODS[0]
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    max_iterations: int = 2000
     # the grid samples inside fit_window (all of them without one)
     window_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _require_positive("wavelength", self.wavelength)
+        _require_length("wavelength", self.wavelength)
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
             if tr.scale != "db":
                 raise ValueError(f"{name} trace must be in dB, got scale {tr.scale!r}")

@@ -28,6 +28,12 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0{finite}, got {value}")
 
 
+def _require_length(name: str, value: float) -> None:
+    """`_require_positive` on `value` and on its square: about 2e-162 < value < 1.3e154."""
+    _require_positive(name, value)
+    _require_positive(f"{name} {value} squared", value * value)
+
+
 def _require_int(name: str, value: int, minimum: int) -> None:
     """Raise a `ValueError` naming `name` unless `value` is a non-bool integer >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -46,7 +52,7 @@ class RoomGeometry:
 
     def __post_init__(self) -> None:
         for name in ("lx", "ly", "lz"):
-            _require_positive(f"room dimension {name}", getattr(self, name))
+            _require_length(f"room dimension {name}", getattr(self, name))
         # the time constants are V / S times a factor: neither may under- or overflow
         _require_positive("room volume", self.volume())
         _require_positive("room surface", self.surface())
@@ -118,7 +124,8 @@ class PdsParams:
     wavelength: float
 
     def __post_init__(self) -> None:
-        _require_positive("wavelength", self.wavelength)
+        _require_length("wavelength", self.wavelength)
+        _require_positive("power scale c lam^2 / 2V", _amplitude(self))
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,8 @@ class DistanceCondition:
     los: bool = False
 
     def __post_init__(self) -> None:
-        # direct_path and cpr_distance divide by d**2: about 2e-162 < d < 1.3e154
-        _require_positive("distance", self.distance)
-        _require_positive(f"distance {self.distance} squared", self.distance * self.distance)
+        # direct_path and cpr_distance divide by d**2
+        _require_length("distance", self.distance)
 
 
 @dataclass(frozen=True)
@@ -453,23 +459,26 @@ def cpr_distance(p: PdsParams, cond: DistanceCondition) -> float:
 
         Q(d) = V / (2 pi c T d^2) * e^(d/(c T)) / (1 - r)
 
-    with it. Returns +inf when gamma = 0, when the cross product of the mean
-    gains vanishes, and where e^(d/(c T)) overflows (LOS, d > ~709 c T).
+    with it. Returns +inf when T_p is infinite (gamma = 0 or overflow), when the cross
+    product of the mean gains vanishes, and where e^(d/(c T)) overflows (LOS, d > ~709 c T).
     """
     k_co, k_cross = _mu_products(p)
-    if k_cross == 0.0 or p.material.gamma == 0.0:
+    t_mix = mixing_time(p.room, p.material)
+    if k_cross == 0.0 or not math.isfinite(t_mix):
         return math.inf
     t_rev = reverberation_time(p.room, p.material)
-    t_mix = mixing_time(p.room, p.material)
     d = cond.distance
     c = SPEED_OF_LIGHT
-    r = t_mix / (t_rev + t_mix) * math.exp(-d / (c * t_mix))
-    bracket = (1.0 + r) / (1.0 - r)
+    share = t_mix / (t_rev + t_mix)
+    r = share * math.exp(-d / (c * t_mix))
+    # 1 - r as T/(T+T_p) - share * expm1(-d/(c T_p)): r rounds toward one as T/T_p -> 0
+    one_minus_r = t_rev / (t_rev + t_mix) - share * math.expm1(-d / (c * t_mix))
+    bracket = (1.0 + r) / one_minus_r
     q = 0.0
     if cond.los:
         try:
             growth = math.exp(d / (c * t_rev))
         except OverflowError:
             return math.inf
-        q = p.room.volume() / (2.0 * math.pi * c * t_rev * d**2) * growth / (1.0 - r)
+        q = p.room.volume() / (2.0 * math.pi * c * t_rev * d**2) * growth / one_minus_r
     return (k_co / k_cross) * (q + bracket)

@@ -356,6 +356,18 @@ class TestFit:
                      "--strict"])
         assert code == 4
 
+    def test_unknown_method_is_a_validation_error(self, tmp_path, capsys):
+        # `FitProblem` checks [fit]; eval, cpr and simulate ignore the section
+        config, paths = self.make_inputs(tmp_path)
+        text = Path(config).read_text().replace("noise0: 1.0e-10}", "noise0: 1.0e-10, method: powell}")
+        config = write_config(tmp_path, text, name="powell.yaml")
+        code = main(["fit", "--config", config, "--co", paths["co"],
+                     "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: method must be one of" in capsys.readouterr().err
+        config = write_config(tmp_path, BASE + "fit: {method: powell}\n", name="eval.yaml")
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
+
     def test_fit_reaching_an_upper_bound_exits_cleanly(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
         text = Path(config).read_text().replace(
@@ -465,13 +477,16 @@ class TestExitCodes:
              "grid.step_ns"),
             ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 1.0e+7, step_ns: 1.0e-3", "grid.step_ns"),
             ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4", "grid.step_ns"),
-            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e-300, ly: 1.0e-300, lz: 1.0e-300",
+            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e-110, ly: 1.0e-110, lz: 1.0e-110",
              "[room] room volume must be > 0, got 0.0"),
-            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e+200, ly: 1.0e+200, lz: 1.0e+200",
+            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e+103, ly: 1.0e+103, lz: 1.0e+103",
              "[room] room volume must be > 0 and finite, got inf"),
+            ("lx: 3.0,", "lx: 5.0e-324,", "[room] room dimension lx 5e-324 squared must be > 0"),
+            ("lx: 3.0,", "lx: 1.0e+200,",
+             "[room] room dimension lx 1e+200 squared must be > 0 and finite"),
         ],
         ids=["grid_overflow", "grid_too_many_samples", "grid_past_stop", "room_volume_underflow",
-             "room_volume_overflow"],
+             "room_volume_overflow", "room_side_square_underflow", "room_side_square_overflow"],
     )
     def test_degenerate_derived_value_is_validation_error(self, tmp_path, capsys, old, new, key):
         cfg = write_config(tmp_path, BASE.replace(old, new))
@@ -548,6 +563,69 @@ class TestUnusableDistance:
                                      capsys)
         assert code == 2
         assert err.startswith("error: [cpr.distances_m] distance 1e-200 squared must be > 0")
+
+
+class TestUnrepresentableMagnitudes:
+    # The room's sides and the wavelength follow the distance rule, and the
+    # power scale c lam^2 / 2V must be a positive finite double: each command
+    # either runs or exits 2 naming the value, with no traceback and no
+    # RuntimeWarning. A small leakage gamma keeps a finite ratio, and one
+    # whose T_p overflows gives inf rather than NaN.
+    CFG = (
+        "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
+        "carrier: {wavelength_m: 0.005}\n"
+        "material: {g: 0.4, gamma: 0.04}\n"
+        "antennas: {xi: 0.1}\n"
+        "grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}\n"
+        "link: {distance_m: 1.8, los: false}\n"
+        "simulation: {realizations: 64, seed: 7, bin_width_ns: 1.0, max_delay_ns: 40.0}\n"
+        "cpr: {distances_m: [0.5, 1.35, 1.8, 3.3]}\n"
+    )
+    TINY_SIDE = "error: [room] room dimension lx 5e-324 squared must be > 0, got 0.0"
+    HUGE_SIDE = "error: [room] room dimension lx 1e+200 squared must be > 0 and finite"
+    HUGE_LAM = "error: [carrier] wavelength 1e+200 squared must be > 0 and finite"
+    TINY_LAM = "error: [carrier] wavelength 1e-200 squared must be > 0, got 0.0"
+    SCALE = "error: power scale c lam^2 / 2V must be > 0 and finite, got inf"
+
+    @pytest.mark.parametrize(
+        "command, edits, code, message",
+        [
+            ("eval", ["lx: 5.0e-324"], 2, TINY_SIDE),
+            ("cpr", ["lx: 5.0e-324"], 2, TINY_SIDE),
+            ("simulate", ["lx: 5.0e-324"], 2, TINY_SIDE),
+            ("simulate", ["lx: 1.0e+200"], 2, HUGE_SIDE),
+            ("simulate", ["lx: 1.0e+200", "max_delay_ns: 40.0, placement: fixed"], 2, HUGE_SIDE),
+            ("eval", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
+            ("cpr", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
+            ("simulate", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
+            ("eval", ["wavelength_m: 1.0e+152"], 2, SCALE),
+            ("simulate", ["wavelength_m: 1.0e+150"], 2, SCALE),
+            ("eval", ["wavelength_m: 1.0e-200"], 2, TINY_LAM),
+            ("simulate", ["wavelength_m: 1.0e-200"], 2, TINY_LAM),
+            ("eval", ["gamma: 1.0e-17"], 0, "CPR(d=1.8 m, NLOS) = 2.3772e+17\n"),
+            ("cpr", ["gamma: 1.0e-17"], 0, "wrote"),
+            ("eval", ["gamma: 5.0e-324"], 0, "CPR(d=1.8 m, NLOS) = inf\n"),
+        ],
+        ids=["eval-side-tiny", "cpr-side-tiny", "simulate-side-tiny", "simulate-side-huge",
+             "simulate-fixed-side-huge", "eval-wavelength-huge", "cpr-wavelength-huge",
+             "simulate-wavelength-huge", "eval-power-scale-overflow",
+             "simulate-power-scale-overflow", "eval-wavelength-tiny", "simulate-wavelength-tiny",
+             "eval-gamma-tiny", "cpr-gamma-tiny", "eval-mixing-time-overflow"],
+    )
+    def test_command_runs_or_names_the_value(self, tmp_path, capsys, command, edits, code,
+                                             message):
+        text = self.CFG
+        for edit in edits:  # "key: value" replaces the key's value in CFG
+            key = edit.split(":", 1)[0]
+            text = re.sub(rf"\b{key}: [^,}}]+", edit, text)
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exit_code = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert exit_code == code, captured.err
+        assert message in (captured.err if code else captured.out)
 
 
 class TestTraceCsv:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from roompol import DistanceCondition, PulseShape, SimConfig, WallMaterial
+from roompol import DistanceCondition, FitProblem, PdpTrace, PulseShape, SimConfig, WallMaterial
 from roompol.config import _SCHEMA, ConfigError, load_run_config
 
 BASE = """\
@@ -152,7 +152,18 @@ def test_fit_section_defaults_and_window(tmp_path):
     assert cfg.fit["initial_guess"][3] is None
     assert cfg.fit["fit_window"] == (pytest.approx(5e-9), pytest.approx(120e-9))
     assert cfg.fit["max_iterations"] == 500
-    assert cfg.fit["method"] == "least_squares"
+    # an absent key is left out, so `FitProblem` applies its own default
+    assert "method" not in cfg.fit
+    trace = PdpTrace(np.arange(0.0, 200e-9, 1e-9), np.full(200, -50.0), "db")
+    problem = FitProblem(cfg.room, cfg.wavelength, cfg.cond, cfg.pulse, trace, trace, **cfg.fit)
+    assert problem.method == "least_squares"
+
+
+def test_carrier_holds_a_wavelength_whose_power_scale_overflows(tmp_path):
+    # 1e150 m passes the length rule; c lam^2 / 2V depends on the room and is
+    # checked by `PdsParams`, which every command builds
+    text = BASE.replace("wavelength_m: 0.005", "wavelength_m: 1.0e+150")
+    assert load_run_config(write(tmp_path, text)).wavelength == 1e150
 
 
 def test_cpr_section_validation(tmp_path):
@@ -279,7 +290,11 @@ INVALID = [
     ("missing-key", BASE.replace("lx: 3.0, ", ""), "room.lx"),
     ("mu_t-without-mu_r", BASE.replace("{xi: 0.0}", "{mu_t: [0.9, 0.1]}"), "antennas.mu_r"),
     ("wavelength-zero", BASE.replace("wavelength_m: 0.005", "wavelength_m: 0.0"),
-     r"carrier\.wavelength_m' must be > 0"),
+     r"\[carrier\] wavelength must be > 0"),
+    ("wavelength-square-underflows", BASE.replace("wavelength_m: 0.005", "wavelength_m: 1.0e-200"),
+     r"\[carrier\] wavelength 1e-200 squared must be > 0"),
+    ("wavelength-square-overflows", BASE.replace("wavelength_m: 0.005", "wavelength_m: 1.0e+200"),
+     r"\[carrier\] wavelength 1e\+200 squared must be > 0 and finite"),
     ("frequency-negative", BASE.replace("wavelength_m: 0.005", "frequency_hz: -6.0e10"),
      r"unknown config key 'carrier\.frequency_hz'"),
     ("step-zero", BASE.replace("step_ns: 0.1", "step_ns: 0.0"), r"grid\.step_ns' must be > 0"),
@@ -294,7 +309,6 @@ INVALID = [
      "grid must contain at least two samples"),
     ("grid-past-stop", BASE.replace("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4"),
      r"grid\.step_ns' must divide 'grid\.stop_ns' - 'grid\.start_ns' evenly"),
-    ("unknown-method", BASE + "fit: {method: powell}\n", r"fit\.method' must be"),
     ("invalid-yaml", BASE + "link: {distance_m: 1.8\n", "not valid YAML"),
     ("repeated-key", BASE.replace("lx: 3.0,", "lx: 3.0, lx: 5.0,"),
      "config key 'lx' is repeated on line 1"),

@@ -109,17 +109,29 @@ class TestProblemValidation:
             (dict(initial_guess=(0.5, 0.1, 0.05)), "initial_guess must give"),
             (dict(initial_guess=(0.5, 0.1, 0.05, None, 0.2)), "initial_guess must give"),
             (dict(bounds=((0.01, 0.5, 0.7),) * 3), "bounds must give"),
+            (dict(wavelength=1e-200), r"^wavelength 1e-200 squared must be > 0, got 0\.0$"),
+            (dict(wavelength=1e200), r"^wavelength 1e\+200 squared must be > 0 and finite"),
         ],
         ids=["zero-wavelength", "negative-wavelength", "method", "max-iterations",
              "fractional-max-iterations", "infinite-wavelength",
              "two-bounds", "window-past-grid", "reversed-window", "bool-max-iterations",
-             "three-value-guess", "five-value-guess", "three-value-bound"],
+             "three-value-guess", "five-value-guess", "three-value-bound",
+             "wavelength-square-underflow", "wavelength-square-overflow"],
     )
     def test_rejects_invalid_settings(self, kw, message):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
         kw = {"wavelength": LAM, **kw}
         with pytest.raises(ValueError, match=message):
             FitProblem(room=ROOM, cond=COND, pulse=PULSE, co_trace=co, cross_trace=cross, **kw)
+
+    def test_wavelength_with_unrepresentable_power_scale_fails_before_any_curve(self, monkeypatch):
+        # lam = 1e150 passes the length rule, but c lam^2 overflows: the
+        # model parameters of the first trial point reject it
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        problem = FitProblem(ROOM, 1e150, COND, PULSE, co, cross)
+        monkeypatch.setattr(fitting, "observed_pds", None)  # never reached
+        with pytest.raises(ValueError, match=r"^power scale c lam\^2 / 2V must be > 0 and finite"):
+            fit(problem)
 
     def test_numpy_integer_budget_is_accepted(self):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)

@@ -89,16 +89,21 @@ class TestTypes:
         with pytest.raises(ValueError, match="room dimension"):
             RoomGeometry(*dims)
 
-    # Positive finite sides whose volume or surface under- or overflows:
-    # the time constants divide by S and scale with V.
+    # A side whose square under- or overflows fails the length rule; sides
+    # that pass it may still give a volume or surface that under- or
+    # overflows: the time constants divide by S and scale with V.
     @pytest.mark.parametrize(
         "dims, message",
         [
-            ((1e-300,) * 3, "room volume must be > 0, got 0.0"),
-            ((1e200,) * 3, "room volume must be > 0 and finite, got inf"),
-            ((1e200, 1e-200, 1e200), "room surface must be > 0 and finite, got inf"),
+            ((1e-110,) * 3, "room volume must be > 0, got 0.0"),
+            ((1e103,) * 3, "room volume must be > 0 and finite, got inf"),
+            ((1.3e154, 1.3e154, 1e-100), "room surface must be > 0 and finite, got inf"),
+            ((5e-324, 4.0, 3.0), "room dimension lx 5e-324 squared must be > 0, got 0.0"),
+            ((3.0, 4.0, 1e200),
+             "room dimension lz 1e+200 squared must be > 0 and finite, got inf"),
         ],
-        ids=["volume_underflow", "volume_overflow", "surface_overflow"],
+        ids=["volume_underflow", "volume_overflow", "surface_overflow", "side_square_underflow",
+             "side_square_overflow"],
     )
     def test_room_rejects_unrepresentable_volume_or_surface(self, dims, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -128,6 +133,30 @@ class TestTypes:
     def test_params_reject_nonpositive_wavelength(self):
         with pytest.raises(ValueError, match="wavelength"):
             PdsParams(ROOM, MAT, PolGain(1, 0), PolGain(1, 0), wavelength=0.0)
+
+    # The wavelength follows the length rule, and the power scale c lam^2 / 2V
+    # it sets must be a positive finite double too: in the 3 x 4 x 3 m room
+    # c lam^2 overflows from about 7.7e149 m on.
+    @pytest.mark.parametrize(
+        "room, wavelength, message",
+        [
+            (ROOM, 1e-200, "wavelength 1e-200 squared must be > 0, got 0.0"),
+            (ROOM, 1e150, "power scale c lam^2 / 2V must be > 0 and finite, got inf"),
+            (ROOM, 1e200, "wavelength 1e+200 squared must be > 0 and finite, got inf"),
+            (RoomGeometry(1e100, 1e100, 1e100), 1e-150,
+             "power scale c lam^2 / 2V must be > 0, got 0.0"),
+        ],
+        ids=["square_underflow", "power_scale_overflow", "square_overflow",
+             "power_scale_underflow"],
+    )
+    def test_params_reject_unrepresentable_wavelength(self, room, wavelength, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PdsParams(room, MAT, PolGain(1, 0), PolGain(1, 0), wavelength)
+
+    @pytest.mark.parametrize("wavelength", [1e-150, 1e149])
+    def test_params_admit_a_representable_power_scale(self, wavelength):
+        p = PdsParams(ROOM, MAT, PolGain(1, 0), PolGain(1, 0), wavelength)
+        assert 0.0 < pds(0.0, p) < math.inf
 
     def test_distance_condition_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="distance"):
@@ -691,6 +720,16 @@ class TestCprDistance:
         cond = DistanceCondition(distance=1e-9, los=False)
         assert cpr_distance(p, cond) == pytest.approx(cpr(p), rel=1e-9)
 
+    # 1 - r must keep its precision as T/T_p -> 0: formed by subtraction it
+    # lost 1.7% at gamma = 1e-15 and divided by zero from gamma = 1e-17 on.
+    @pytest.mark.parametrize(
+        "gamma", [0.5, 0.1, 1e-4, 1e-8, 1e-12, 1e-15, 1e-16, 1e-17, 1e-50, 1e-150, 1e-300]
+    )
+    def test_small_distance_limit_holds_at_small_leakage(self, gamma):
+        p = split_params(0.1, material=WallMaterial(0.4, gamma))
+        cond = DistanceCondition(distance=1e-9, los=False)
+        assert cpr_distance(p, cond) == pytest.approx(cpr(p), rel=1e-9)
+
     def test_large_distance_tends_to_prefactor(self):
         p = split_params(0.1)
         cond = DistanceCondition(distance=500.0, los=False)
@@ -734,6 +773,11 @@ class TestCprDistance:
         assert cpr_distance(split_params(0.0), cond) == math.inf
         p = split_params(0.1, material=WallMaterial(0.4, 0.0))
         assert cpr_distance(p, cond) == math.inf
+        # gamma = 5e-324 leaks, but T_p overflows to inf
+        p = split_params(0.1, material=WallMaterial(0.4, 5e-324))
+        assert mixing_time(p.room, p.material) == math.inf
+        assert cpr_distance(p, cond) == math.inf
+        assert cpr_distance(p, DistanceCondition(1.8, los=False)) == math.inf
 
 
 def test_readme_library_quickstart_prints_its_commented_values(capsys):
