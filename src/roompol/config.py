@@ -19,7 +19,7 @@ import yaml
 from .fitting import DEFAULT_BOUNDS, DEFAULT_GUESS
 from .measurement import PulseShape
 from .mirror import SimConfig
-from .model import _MAX_CELLS, DistanceCondition, PolGain, RoomGeometry, WallMaterial, _require_length
+from .model import DistanceCondition, PolGain, RoomGeometry, WallMaterial, _require_length, _whole_steps
 
 
 class ConfigError(ValueError):
@@ -175,19 +175,9 @@ def _parse_grid(doc: dict) -> np.ndarray:
     start, stop, step = (
         _get(doc, "grid", key, "number") for key in ("start_ns", "stop_ns", "step_ns")
     )
-    if step <= 0:
-        raise ConfigError("'grid.step_ns' must be > 0")
-    if stop <= start:
-        raise ConfigError("'grid.stop_ns' must exceed 'grid.start_ns'")
-    span = (stop - start) / step
-    if not span <= _MAX_CELLS - 1:
-        raise ConfigError(f"'grid.step_ns' gives more than {_MAX_CELLS} grid samples")
-    n = int(round(span)) + 1
-    if n < 2:
-        raise ConfigError("grid must contain at least two samples")
-    if abs(span - round(span)) > 1e-6:
-        raise ConfigError("'grid.step_ns' must divide 'grid.stop_ns' - 'grid.start_ns' evenly")
-    return (start + step * np.arange(n)) * 1e-9
+    n = _build("grid", _whole_steps, span_name="'grid.stop_ns' - 'grid.start_ns'",
+               step_name="'grid.step_ns'", span=stop - start, step=step, least=1)
+    return (start + step * np.arange(n + 1)) * 1e-9
 
 
 def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:

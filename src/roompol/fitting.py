@@ -27,6 +27,7 @@ from .model import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    _require_choice,
     _require_int,
     _require_length,
     _require_positive,
@@ -74,12 +75,14 @@ class FitProblem:
                 raise ValueError(f"{name} trace must be in dB, got scale {tr.scale!r}")
         if not np.array_equal(self.co_trace.delays, self.cross_trace.delays):
             raise ValueError("co and cross traces must share one delay grid")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        _require_choice("method", self.method, METHODS)
         # `_trf` stops when its evaluation count equals the budget
         _require_int("max_iterations", self.max_iterations, 1)
         if len(self.initial_guess) != 4:
             raise ValueError("initial_guess must give (g, gamma, xi, noise power or None)")
+        for name, value in zip(("g", "gamma", "xi"), self.initial_guess):
+            if not math.isfinite(value):
+                raise ValueError(f"initial {name} must be finite, got {value}")
         if self.initial_guess[3] is not None:
             _require_positive("initial noise power", self.initial_guess[3])
         if len(self.bounds) != 3 or any(len(b) != 2 for b in self.bounds):
@@ -91,10 +94,12 @@ class FitProblem:
         self.window_mask = np.ones(grid.size, dtype=bool)
         if self.fit_window is not None:
             t0, t1 = self.fit_window
-            if t0 >= t1 or t1 < grid[0] or t0 > grid[-1]:
-                raise ValueError(f"fit window {self.fit_window} does not overlap the grid")
             eps = 1e-9 * self.co_trace.spacing
             self.window_mask = (grid >= t0 - eps) & (grid <= t1 + eps)
+            n_window = int(self.window_mask.sum())
+            if n_window < 2:  # two residuals per channel for the four parameters
+                raise ValueError(f"fit window {self.fit_window} holds {n_window} grid "
+                                 "samples; need at least 2")
         # gated traces may hold -inf (zero power) outside the window, before
         # the direct delay; `PdpTrace` has rejected NaN and +inf already
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
@@ -217,7 +222,7 @@ def _trust_region_step(m, uf, s, V, Delta, alpha):
         return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
 
     suf = s * uf
-    full_rank = s[-1] > np.finfo(float).eps * m * s[0]  # `fit` has m >= n residuals
+    full_rank = s[-1] > np.finfo(float).eps * m * s[0]  # `FitProblem` grants m >= n residuals
     if full_rank:
         p = -V.dot(uf / s)
         if norm(p) <= Delta:
@@ -309,13 +314,6 @@ def fit(problem: FitProblem) -> FitResult:
     within the iteration budget is reported through the `converged` flag;
     a result is returned either way.
     """
-    n_window = int(problem.window_mask.sum())
-    if 2 * n_window < 4:
-        raise ValueError(
-            f"fit window holds {n_window} samples per channel; "
-            "need at least as many residuals as parameters"
-        )
-
     floor = estimate_noise_floor(problem)
     g0, gamma0, xi0, noise0 = problem.initial_guess
     if noise0 is None:

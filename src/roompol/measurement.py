@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    _MAX_CELLS, DistanceCondition, PdsParams, _require_positive, direct_path, pds_conditional,
+    _MAX_CELLS, DistanceCondition, PdsParams, _require_choice, _require_nonnegative,
+    _require_positive, direct_path, pds_conditional,
 )
 
 _PULSE_KINDS = ("boxcar", "gaussian")
+_SCALES = ("linear", "db")
 # -3 dB matched width factor for the gaussian pulse: std = 1 / (2 pi B * 0.3)
 _GAUSSIAN_WIDTH_FACTOR = 0.3
 
@@ -39,8 +41,7 @@ class PulseShape:
     bandwidth: float = 1e9
 
     def __post_init__(self) -> None:
-        if self.kind not in _PULSE_KINDS:
-            raise ValueError(f"pulse kind must be one of {_PULSE_KINDS}, got {self.kind!r}")
+        _require_choice("pulse kind", self.kind, _PULSE_KINDS)
         _require_positive("pulse bandwidth", self.bandwidth)
 
     def power_profile(self, t) -> np.ndarray:
@@ -67,8 +68,7 @@ class ObservationParams:
     noise_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.noise_power < math.inf:
-            raise ValueError(f"noise power must be finite and >= 0, got {self.noise_power}")
+        _require_nonnegative("noise power", self.noise_power)
 
 
 @dataclass
@@ -86,8 +86,7 @@ class PdpTrace:
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.scale not in ("linear", "db"):
-            raise ValueError(f"scale must be 'linear' or 'db', got {self.scale!r}")
+        _require_choice("scale", self.scale, _SCALES)
         if self.delays.ndim != 1 or self.delays.size < 2:
             raise ValueError("delay grid must be one-dimensional with at least two samples")
         if self.values.shape != self.delays.shape:
@@ -203,8 +202,7 @@ def from_db(level):
 
 def db_linear_convert(trace: PdpTrace, target: str) -> PdpTrace:
     """Convert a trace between linear power density and dB re 1/s; zero power is -inf dB."""
-    if target not in ("linear", "db"):
-        raise ValueError(f"target scale must be 'linear' or 'db', got {target!r}")
+    _require_choice("target scale", target, _SCALES)
     if trace.scale == target:
         return PdpTrace(delays=trace.delays.copy(), values=trace.values.copy(), scale=target)
     if target == "db":

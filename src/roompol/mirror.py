@@ -51,9 +51,11 @@ from .model import (
     RoomGeometry,
     WallMaterial,
     _mu_products,
+    _require_choice,
     _require_int,
     _require_positive,
     _rho_power,
+    _whole_steps,
     bounce_split,
     channel_pair,
 )
@@ -96,14 +98,8 @@ class SimConfig:
                 f"n_realizations must be <= {_MAX_REALIZATIONS}, got {self.n_realizations}"
             )
         _require_int("rng_seed", self.rng_seed, 0)
-        _require_positive("bin_width", self.bin_width)
-        if not self.bin_width < self.max_delay < math.inf:
-            raise ValueError(
-                f"max_delay ({self.max_delay}) must be finite and exceed "
-                f"bin_width ({self.bin_width})"
-            )
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
+        self.n_bins  # the one check of the bin grid
+        _require_choice("placement", self.placement, _PLACEMENTS)
         if self.placement == "fixed":
             if self.distance is None:
                 raise ValueError("fixed placement requires a positive distance")
@@ -112,14 +108,11 @@ class SimConfig:
             raise ValueError("distance is only meaningful for fixed placement")
         elif not self.los:
             raise ValueError("los=False is only meaningful for fixed placement")
-        n_bins = self.max_delay / self.bin_width
-        if not n_bins <= _MAX_CELLS:
-            raise ValueError(
-                f"bin_width ({self.bin_width}) gives more than {_MAX_CELLS} delay bins "
-                f"up to max_delay ({self.max_delay})"
-            )
-        if abs(n_bins - round(n_bins)) > 1e-6:
-            raise ValueError("max_delay must be an integer multiple of bin_width")
+
+    @property
+    def n_bins(self) -> int:
+        """Delay bins of width bin_width up to max_delay: at least 2, as `PdpTrace` needs."""
+        return _whole_steps("max_delay", "bin_width", self.max_delay, self.bin_width, 2)
 
 
 def _axis_p_ranges(length: float, span: float):
@@ -393,7 +386,7 @@ def simulate_pdp(
             f"fixed distance {cfg.distance} m is below {floor:.3g} m, the least at which "
             f"the room's coordinate rounding stays within 1e-6 of it"
         )
-    n_bins = int(round(cfg.max_delay / cfg.bin_width))
+    n_bins = cfg.n_bins
 
     run = functools.partial(
         _run_chunk, cfg=cfg, lattice=enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay),

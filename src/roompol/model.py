@@ -34,12 +34,34 @@ def _require_length(name: str, value: float) -> None:
     _require_positive(f"{name} {value} squared", value * value)
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    """Raise a `ValueError` naming `name` unless 0 <= value < inf."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _require_int(name: str, value: int, minimum: int) -> None:
     """Raise a `ValueError` naming `name` unless `value` is a non-bool integer >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    """Raise a `ValueError` naming `name` unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _whole_steps(span_name: str, step_name: str, span: float, step: float, least: int) -> int:
+    """round(span / step), which must lie within 1e-6 of span / step and in [least, _MAX_CELLS]."""
+    _require_positive(step_name, step)
+    ratio = span / step
+    if not (least - 1e-6 <= ratio <= _MAX_CELLS + 1e-6 and abs(ratio - round(ratio)) <= 1e-6):
+        raise ValueError(f"{step_name} must divide {span_name} into a whole number of steps "
+                         f"from {least} to {_MAX_CELLS}, got {ratio:.15g}")
+    return round(ratio)
 
 
 @dataclass(frozen=True)
@@ -97,9 +119,7 @@ class PolGain:
 
     def __post_init__(self) -> None:
         for name in ("mu_theta", "mu_phi"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"mean gain {name} must be finite and >= 0, got {value}")
+            _require_nonnegative(f"mean gain {name}", getattr(self, name))
 
     @classmethod
     def from_split(cls, xi: float) -> "PolGain":
@@ -126,6 +146,8 @@ class PdsParams:
     def __post_init__(self) -> None:
         _require_length("wavelength", self.wavelength)
         _require_positive("power scale c lam^2 / 2V", _amplitude(self))
+        _require_nonnegative("peak power c lam^2 / V (k_co + k_cross)",
+                             2.0 * _amplitude(self) * sum(_mu_products(self)))
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,9 @@ class DirectPath:
 
     delay: float
     weight: float
+
+    def __post_init__(self) -> None:
+        _require_nonnegative("direct path weight", self.weight)
 
 
 def bounce_matrix(material: WallMaterial) -> np.ndarray:

@@ -507,7 +507,8 @@ class TestExitCodes:
             ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 1.0e+5}\n",
              "lower max_delay"),
             ("simulation: {realizations: 10, bin_width_ns: 1.0e-9, max_delay_ns: 20.0}\n",
-             "bin_width (1e-18) gives more than 10000000 delay bins"),
+             "[simulation] bin_width must divide max_delay into a whole number of steps "
+             "from 2 to 10000000, got 20000000000\n"),
             ("simulation: {realizations: 1000000000000, bin_width_ns: 1.0, max_delay_ns: 20.0}\n",
              "[simulation] n_realizations must be <= 1000000000, got 1000000000000"),
         ],
@@ -566,11 +567,12 @@ class TestUnusableDistance:
 
 
 class TestUnrepresentableMagnitudes:
-    # The room's sides and the wavelength follow the distance rule, and the
-    # power scale c lam^2 / 2V must be a positive finite double: each command
-    # either runs or exits 2 naming the value, with no traceback and no
-    # RuntimeWarning. A small leakage gamma keeps a finite ratio, and one
-    # whose T_p overflows gives inf rather than NaN.
+    # The room's sides and the wavelength follow the distance rule, the
+    # power scale c lam^2 / 2V must be a positive finite double, and the peak
+    # power c lam^2 / V (k_co + k_cross) and the direct-path weight finite:
+    # each command either runs or exits 2 naming the value, with no traceback
+    # and no RuntimeWarning. A small leakage gamma keeps a finite ratio, and
+    # one whose T_p overflows gives inf rather than NaN.
     CFG = (
         "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
         "carrier: {wavelength_m: 0.005}\n"
@@ -586,6 +588,12 @@ class TestUnrepresentableMagnitudes:
     HUGE_LAM = "error: [carrier] wavelength 1e+200 squared must be > 0 and finite"
     TINY_LAM = "error: [carrier] wavelength 1e-200 squared must be > 0, got 0.0"
     SCALE = "error: power scale c lam^2 / 2V must be > 0 and finite, got inf"
+    PEAK = "error: peak power c lam^2 / V (k_co + k_cross) must be finite and >= 0, got inf"
+    HUGE_GAINS = "antennas: {mu_t: [1.0e+300, 1.0], mu_r: [1.0e+300, 1.0]}"
+    WIDE_LAM_GAINS = ["wavelength_m: 1.0e+100",
+                      "antennas: {mu_t: [1.0e+150, 1.0], mu_r: [1.0e+150, 1.0]}"]
+    NEAR_LOS = ["wavelength_m: 1.0e+100", "distance_m: 1.0e-100", "los: true"]
+    DIRECT = "error: direct path weight must be finite and >= 0, got inf"
 
     @pytest.mark.parametrize(
         "command, edits, code, message",
@@ -605,19 +613,31 @@ class TestUnrepresentableMagnitudes:
             ("eval", ["gamma: 1.0e-17"], 0, "CPR(d=1.8 m, NLOS) = 2.3772e+17\n"),
             ("cpr", ["gamma: 1.0e-17"], 0, "wrote"),
             ("eval", ["gamma: 5.0e-324"], 0, "CPR(d=1.8 m, NLOS) = inf\n"),
+            ("eval", [HUGE_GAINS], 2, PEAK),
+            ("cpr", [HUGE_GAINS], 2, PEAK),
+            ("simulate", [HUGE_GAINS], 2, PEAK),
+            ("cpr", WIDE_LAM_GAINS, 2, PEAK),
+            ("eval", NEAR_LOS, 2, DIRECT),
+            ("cpr", NEAR_LOS, 0, "wrote"),
+            ("simulate", NEAR_LOS, 0, "wrote"),
+            ("eval", ["antennas: {mu_t: [0.0, 0.0], mu_r: [0.0, 0.0]}"], 0, "CPR = inf\n"),
         ],
         ids=["eval-side-tiny", "cpr-side-tiny", "simulate-side-tiny", "simulate-side-huge",
              "simulate-fixed-side-huge", "eval-wavelength-huge", "cpr-wavelength-huge",
              "simulate-wavelength-huge", "eval-power-scale-overflow",
              "simulate-power-scale-overflow", "eval-wavelength-tiny", "simulate-wavelength-tiny",
-             "eval-gamma-tiny", "cpr-gamma-tiny", "eval-mixing-time-overflow"],
+             "eval-gamma-tiny", "cpr-gamma-tiny", "eval-mixing-time-overflow",
+             "eval-peak-power-overflow", "cpr-peak-power-overflow",
+             "simulate-peak-power-overflow", "cpr-wavelength-gains-overflow",
+             "eval-direct-weight-overflow", "cpr-direct-weight-unused",
+             "simulate-direct-weight-unused", "eval-zero-gains"],
     )
     def test_command_runs_or_names_the_value(self, tmp_path, capsys, command, edits, code,
                                              message):
         text = self.CFG
-        for edit in edits:  # "key: value" replaces the key's value in CFG
+        for edit in edits:  # "key: value" replaces the key's value, or a section's line, in CFG
             key = edit.split(":", 1)[0]
-            text = re.sub(rf"\b{key}: [^,}}]+", edit, text)
+            text = re.sub(rf"(?m)^{key}: .*|\b{key}: [^,}}]+", edit, text)
         cfg = write_config(tmp_path, text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

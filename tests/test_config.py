@@ -301,14 +301,15 @@ INVALID = [
     ("step-negative", BASE.replace("step_ns: 0.1", "step_ns: -0.1"),
      r"grid\.step_ns' must be > 0"),
     ("stop-at-start", BASE.replace("stop_ns: 60.0", "stop_ns: 0.0"),
-     r"grid\.stop_ns' must exceed 'grid\.start_ns"),
+     r"\[grid\] 'grid\.step_ns' must divide 'grid\.stop_ns' - 'grid\.start_ns' into a whole "
+     r"number of steps from 1 to 10000000, got 0$"),
     ("stop-before-start", BASE.replace("start_ns: 0.0, stop_ns: 60.0",
                                        "start_ns: 5.0, stop_ns: 1.0"),
-     r"grid\.stop_ns' must exceed 'grid\.start_ns"),
+     r"grid\.step_ns' must divide .* steps from 1 to 10000000, got -40$"),
     ("one-sample-grid", BASE.replace("stop_ns: 60.0", "stop_ns: 0.04"),
-     "grid must contain at least two samples"),
+     r"grid\.step_ns' must divide .* steps from 1 to 10000000, got 0\.4$"),
     ("grid-past-stop", BASE.replace("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4"),
-     r"grid\.step_ns' must divide 'grid\.stop_ns' - 'grid\.start_ns' evenly"),
+     r"grid\.step_ns' must divide .* steps from 1 to 10000000, got 5\.5$"),
     ("invalid-yaml", BASE + "link: {distance_m: 1.8\n", "not valid YAML"),
     ("repeated-key", BASE.replace("lx: 3.0,", "lx: 3.0, lx: 5.0,"),
      "config key 'lx' is repeated on line 1"),
@@ -322,11 +323,11 @@ INVALID = [
 
 
 def test_grid_cap_is_exact(tmp_path, monkeypatch):
-    # BASE's grid holds 601 samples, 0 to 60 ns in steps of 0.1 ns
-    monkeypatch.setattr("roompol.config._MAX_CELLS", 601)
+    # BASE's grid holds 600 steps of 0.1 ns, 601 samples from 0 to 60 ns
+    monkeypatch.setattr("roompol.model._MAX_CELLS", 600)
     assert load_run_config(write(tmp_path, BASE)).grid.size == 601
-    monkeypatch.setattr("roompol.config._MAX_CELLS", 600)
-    with pytest.raises(ConfigError, match=r"grid\.step_ns' gives more than 600 grid samples"):
+    monkeypatch.setattr("roompol.model._MAX_CELLS", 599)
+    with pytest.raises(ConfigError, match=r"grid\.step_ns' must divide .* from 1 to 599, got 600"):
         load_run_config(write(tmp_path, BASE))
 
 

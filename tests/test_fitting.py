@@ -77,9 +77,29 @@ class TestProblemValidation:
             FitProblem(ROOM, LAM, COND, PULSE, co, shifted)
 
     def test_rejects_degenerate_window(self):
-        problem = synth_problem(fit_window=(10e-9, 10.4e-9))
         with pytest.raises(ValueError, match="window"):
-            fit(problem)
+            synth_problem(fit_window=(10e-9, 10.4e-9))
+
+    # Windows inside the grid's span that hold fewer than two of its samples:
+    # on the 0.25 + 0.5 k ns grid, [1.0, 1.2] ns holds none and [1.0, 1.3] ns one.
+    @pytest.mark.parametrize("window, count", [((1.0e-9, 1.2e-9), 0), ((1.0e-9, 1.3e-9), 1)],
+                             ids=["no-sample", "one-sample"])
+    def test_window_needs_two_samples(self, window, count):
+        grid = 0.25e-9 + 0.5e-9 * np.arange(600)
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11, cond=None, grid=grid)
+        with pytest.raises(ValueError, match=rf"holds {count} grid samples; need at least 2$"):
+            FitProblem(ROOM, LAM, None, PULSE, co, cross, fit_window=window)
+        problem = FitProblem(ROOM, LAM, None, PULSE, co, cross, fit_window=(1.0e-9, 1.8e-9))
+        assert problem.window_mask.sum() == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("index, name", [(0, "g"), (1, "gamma"), (2, "xi")])
+    def test_rejects_non_finite_start(self, index, name, bad):
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        guess = [0.5, 0.1, 0.05, None]
+        guess[index] = bad
+        with pytest.raises(ValueError, match=f"^initial {name} must be finite, got {bad}$"):
+            FitProblem(ROOM, LAM, COND, PULSE, co, cross, initial_guess=tuple(guess))
 
     def test_rejects_bad_bounds(self):
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
@@ -103,8 +123,8 @@ class TestProblemValidation:
             (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
             (dict(wavelength=math.inf), "wavelength must be > 0 and finite"),
             (dict(bounds=((0.1, 0.9),) * 2), "bounds must give"),
-            (dict(fit_window=(400e-9, 500e-9)), "does not overlap the grid"),
-            (dict(fit_window=(50e-9, 20e-9)), "does not overlap the grid"),
+            (dict(fit_window=(400e-9, 500e-9)), "holds 0 grid samples; need at least 2"),
+            (dict(fit_window=(50e-9, 20e-9)), "holds 0 grid samples; need at least 2"),
             (dict(max_iterations=True), "max_iterations must be an integer, got True"),
             (dict(initial_guess=(0.5, 0.1, 0.05)), "initial_guess must give"),
             (dict(initial_guess=(0.5, 0.1, 0.05, None, 0.2)), "initial_guess must give"),

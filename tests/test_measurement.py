@@ -272,5 +272,6 @@ class TestPdpTrace:
 
     @pytest.mark.parametrize("scale", ["dB", "log", ""])
     def test_rejects_unknown_scale(self, scale):
-        with pytest.raises(ValueError, match="scale must be 'linear' or 'db'"):
+        with pytest.raises(ValueError, match=rf"^scale must be one of \('linear', 'db'\), "
+                                             rf"got {scale!r}$"):
             PdpTrace(np.arange(2) * 1e-9, np.zeros(2), scale)

@@ -12,6 +12,7 @@ from scipy.integrate import trapezoid
 
 from roompol import (
     SPEED_OF_LIGHT,
+    DirectPath,
     DistanceCondition,
     PdsParams,
     PolGain,
@@ -157,6 +158,26 @@ class TestTypes:
     def test_params_admit_a_representable_power_scale(self, wavelength):
         p = PdsParams(ROOM, MAT, PolGain(1, 0), PolGain(1, 0), wavelength)
         assert 0.0 < pds(0.0, p) < math.inf
+
+    # The peak power c lam^2 / V (k_co + k_cross), the curves' value at tau = 0,
+    # must be finite too, although each of its factors may be.
+    @pytest.mark.parametrize("gain, wavelength", [(1e300, LAM), (1e200, LAM), (1e150, 1e100)],
+                             ids=["gains-1e300", "gains-1e200", "gains-1e150-wavelength-1e100"])
+    def test_params_reject_unrepresentable_peak_power(self, gain, wavelength):
+        mu = PolGain(gain, 1.0)
+        message = "peak power c lam^2 / V (k_co + k_cross) must be finite and >= 0, got inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PdsParams(ROOM, MAT, mu, mu, wavelength)
+
+    def test_params_admit_zero_gains(self):
+        p = PdsParams(ROOM, MAT, PolGain(0.0, 0.0), PolGain(0.0, 0.0), LAM)
+        assert pds(0.0, p) == 0.0
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])
+    def test_direct_path_rejects_unusable_weight(self, weight):
+        with pytest.raises(ValueError, match=f"^direct path weight must be finite and >= 0, "
+                                             f"got {weight}$"):
+            DirectPath(0.0, weight)
 
     def test_distance_condition_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="distance"):
