@@ -64,14 +64,15 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     tau = cfg.grid
     params = _params(cfg)
     co, cross = (model.pds_conditional(tau, p, cfg.cond) for p in model.channel_pair(params))
+    # formed before the first line prints, so a refused value leaves stdout empty
+    spike = model.direct_path(params, cfg.cond)
+    ratio_d = None if cfg.cond is None else model.cpr_distance(params, cfg.cond)
     _print_derived(params)
     if cfg.cond is not None:
-        ratio_d = model.cpr_distance(params, cfg.cond)
         state = "LOS" if cfg.cond.los else "NLOS"
         print(f"CPR(d={cfg.cond.distance:.6g} m, {state}) = {ratio_d:.6g}")
-        spike = model.direct_path(params, cfg.cond)
-        if spike is not None:
-            print(f"direct path: delay = {spike.delay * 1e9:.6g} ns, weight = {spike.weight:.6g}")
+    if spike is not None:
+        print(f"direct path: delay = {spike.delay * 1e9:.6g} ns, weight = {spike.weight:.6g}")
     _write_report(args.out, _curve_columns(tau, co, cross, params))
     return 0
 

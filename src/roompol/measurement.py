@@ -129,14 +129,12 @@ def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
     return raw / (raw.sum() * spacing)
 
 
-def convolve_density(grid: np.ndarray, density, pulse: PulseShape) -> np.ndarray:
-    """Convolve a continuous density with the pulse power profile on `grid`.
+def convolve_density(grid: np.ndarray, step: float, density, pulse: PulseShape) -> np.ndarray:
+    """Convolve a continuous density with the pulse power profile on `grid` of step `step`.
 
     `density` is a callable evaluated on an extension of the grid so the
     filter never sees zero padding where the density is nonzero.
     """
-    grid = np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
     taps = pulse_taps(pulse, step)
     k = len(taps) // 2
     ext = np.concatenate(
@@ -172,21 +170,19 @@ def observed_pds(
     floor is added to every sample. Grid spacing must resolve the pulse:
     spacing <= 1/(4 bandwidth).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("delay grid must be one-dimensional with at least two samples")
-    step = float(grid[1] - grid[0])
+    grid = np.array(grid, dtype=float)  # the returned trace's own copy
+    step = PdpTrace(delays=grid, values=np.zeros_like(grid)).spacing  # checks the grid
     if step > 1.0 / (4.0 * obs.pulse.bandwidth) * (1.0 + 1e-12):
         raise ValueError(
             f"grid spacing {step:.3e} s too coarse for bandwidth "
             f"{obs.pulse.bandwidth:.3e} Hz; need spacing <= 1/(4 bandwidth)"
         )
-    values = convolve_density(grid, lambda t: pds_conditional(t, p, cond), obs.pulse)
+    values = convolve_density(grid, step, lambda t: pds_conditional(t, p, cond), obs.pulse)
     spike = direct_path(p, cond)
     if spike is not None:
         values = values + _spike_bump(grid, step, spike.delay, spike.weight, obs.pulse)
     values = values + obs.noise_power
-    return PdpTrace(delays=grid.copy(), values=values, scale="linear")
+    return PdpTrace(delays=grid, values=values, scale="linear")
 
 
 def to_db(power):

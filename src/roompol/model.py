@@ -384,9 +384,11 @@ def pds_components_exact(tau, p: PdsParams):
 
     The same conventions as `pds_components` hold: zero for tau < 0, scalar
     or array tau, a (co, cross) pair of matching shape. Both functions share
-    the mean count, so as g -> 1 the count variance stops mattering and they
-    agree, except that at fixed gamma the cross part's onset keeps the
-    discrete first-bounce factor 1 - rho where the closed form has -ln(rho).
+    the mean count, so at a fixed delay the count variance stops mattering as
+    g -> 1 and they agree, except that at fixed gamma the cross part's onset
+    keeps the discrete first-bounce factor 1 - rho where the closed form has
+    -ln(rho). Over [2 ns, 5T], which stretches as g -> 1, the co gap does not
+    close: it stays 4.9 dB at g = 0.9 in a 20 x 3 x 3 m room.
     """
     tau_arr = _delays(tau)
     table = bounce_count_table(np.maximum(tau_arr, 0.0), p.room)

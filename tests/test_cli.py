@@ -571,7 +571,8 @@ class TestUnrepresentableMagnitudes:
     # power scale c lam^2 / 2V must be a positive finite double, and the peak
     # power c lam^2 / V (k_co + k_cross) and the direct-path weight finite:
     # each command either runs or exits 2 naming the value, with no traceback
-    # and no RuntimeWarning. A small leakage gamma keeps a finite ratio, and
+    # and no RuntimeWarning; a refused run prints nothing to stdout and writes
+    # no report. A small leakage gamma keeps a finite ratio, and
     # one whose T_p overflows gives inf rather than NaN.
     CFG = (
         "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
@@ -639,13 +640,17 @@ class TestUnrepresentableMagnitudes:
             key = edit.split(":", 1)[0]
             text = re.sub(rf"(?m)^{key}: .*|\b{key}: [^,}}]+", edit, text)
         cfg = write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            exit_code = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+            exit_code = main([command, "--config", cfg, "--out", str(out)])
         assert not caught, [str(w.message) for w in caught]
         captured = capsys.readouterr()
         assert exit_code == code, captured.err
         assert message in (captured.err if code else captured.out)
+        if code:
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestTraceCsv:

@@ -96,11 +96,36 @@ class TestObservedPds:
         with pytest.raises(ValueError, match="too coarse"):
             observed_pds(grid, make_params(), None, obs)
 
+    @pytest.fixture
+    def no_density(self, monkeypatch):
+        # a grid is refused by PdpTrace's rule before any density is evaluated
+        def refuse(*args):
+            raise AssertionError("density evaluated before the grid was checked")
+
+        monkeypatch.setattr(measurement, "pds_conditional", refuse)
+
     @pytest.mark.parametrize("grid", [np.zeros((2, 4)), np.zeros(1), np.float64(0.0)],
                              ids=["2-d", "one-sample", "scalar"])
-    def test_rejects_grid_that_is_not_a_1d_array_of_two_samples(self, grid):
+    def test_rejects_grid_that_is_not_a_1d_array_of_two_samples(self, no_density, grid):
         obs = ObservationParams(pulse=PulseShape("boxcar", 1e9), noise_power=0.0)
         with pytest.raises(ValueError, match="one-dimensional with at least two samples"):
+            observed_pds(grid, make_params(), None, obs)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (np.arange(10.0, 0.0, -0.5) * 1e-9, "delays must be strictly increasing"),
+            (np.array([0.0, 0.2, 0.5, 0.7]) * 1e-9, "delay grid must be uniformly spaced"),
+            (np.array([0.0, 0.2, math.nan, 0.6]) * 1e-9, "delays must be finite"),
+            (np.array([0.0, 0.2, 0.4, math.inf]) * 1e-9, "delays must be finite"),
+        ],
+        ids=["decreasing", "non-uniform", "nan", "inf"],
+    )
+    def test_rejects_grid_that_pdp_trace_refuses(self, no_density, grid, message):
+        obs = ObservationParams(pulse=PulseShape("boxcar", 1e9), noise_power=0.0)
+        with pytest.raises(ValueError, match=message):
+            PdpTrace(delays=grid, values=np.zeros_like(grid))
+        with pytest.raises(ValueError, match=message):
             observed_pds(grid, make_params(), None, obs)
 
     def test_high_bandwidth_limit_tracks_the_density(self):
@@ -142,12 +167,14 @@ class TestObservedPds:
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
     def test_convolution_is_linear(self, kind):
-        grid = np.arange(0.0, 30e-9, 0.1e-9)
+        step = 0.1e-9
+        grid = np.arange(0.0, 30e-9, step)
         pulse = PulseShape(kind, 2e9)
         f = lambda t: pds(t, make_params())
         g = lambda t: np.where(t >= 0, 7.5e-3 * np.cos(t / 5e-9) ** 2, 0.0)
-        combined = convolve_density(grid, lambda t: f(t) + 2.0 * g(t), pulse)
-        separate = convolve_density(grid, f, pulse) + 2.0 * convolve_density(grid, g, pulse)
+        combined = convolve_density(grid, step, lambda t: f(t) + 2.0 * g(t), pulse)
+        separate = (convolve_density(grid, step, f, pulse)
+                    + 2.0 * convolve_density(grid, step, g, pulse))
         npt.assert_allclose(combined, separate, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
@@ -165,7 +192,7 @@ class TestObservedPds:
             cond = DistanceCondition(distance=d, los=True)
             with_spike = observed_pds(grid, p, cond, obs).values
             diffuse_only = convolve_density(
-                grid, lambda t: pds_conditional(t, p, cond), obs.pulse
+                grid, step, lambda t: pds_conditional(t, p, cond), obs.pulse
             )
             bump.append((with_spike - diffuse_only) / direct_path(p, cond).weight)
         # compare within the pulse support; outside it the bump is buried in

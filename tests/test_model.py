@@ -515,6 +515,37 @@ class TestComponentsExact:
             pds_components_exact(tau, make_params(mu_b, mu_a)),
         )
 
+    def test_closed_form_co_gap_map(self):
+        # The co gap 10 log10(exact / closed form) over 300 delays in [2 ns, 5T]
+        # at gamma = 0.04. A box room's specular field is not diffuse: a
+        # direction u meets walls at the rate c sum |u_i| / L_i, so directions
+        # near the long axes bounce least and dominate late delays. E[g^B] then
+        # decays more slowly than any one exponential, the more so the less
+        # cubic the room, and the gap grows with delay. At a fixed delay the
+        # count variance matters less as g -> 1, but 5T stretches with it.
+        rooms = {"3x4x3": (3.0, 4.0, 3.0), "10x10x3": (10.0, 10.0, 3.0),
+                 "20x3x3": (20.0, 3.0, 3.0)}
+        gs = (0.5, 0.7, 0.9)
+        worst, late, at_20ns = (np.empty((len(rooms), len(gs))) for _ in range(3))
+        for i, dims in enumerate(rooms.values()):
+            for j, g in enumerate(gs):
+                p = split_params(0.0, material=WallMaterial(g, 0.04), room=RoomGeometry(*dims))
+                t_rev = reverberation_time(p.room, p.material)
+                tau = np.append(np.linspace(2e-9, 5.0 * t_rev, 300), 20e-9)
+                gap = 10.0 * np.log10(pds_components_exact(tau, p)[0] / pds_components(tau, p)[0])
+                worst[i, j], late[i, j], at_20ns[i, j] = np.max(np.abs(gap[:-1])), gap[-2], gap[-1]
+        print("closed form's co gap to pds_components_exact, dB: "
+              "max |gap| over [2 ns, 5T] / gap at 20 ns (gamma = 0.04)")
+        print(f"{'room (m)':<10}" + "".join(f"{f'g = {g}':<14}" for g in gs))
+        for name, row_worst, row_20ns in zip(rooms, worst, at_20ns):
+            print(f"{name:<10}" + "".join(f"{f'{w:.2f} / {a:.2f}':<14}"
+                                          for w, a in zip(row_worst, row_20ns)))
+        assert np.all(late > 0.0)
+        # the late gap grows from 3x4x3 to 10x10x3 to 20x3x3 at each g
+        assert np.all(np.diff(late, axis=0) > 0.0)
+        # at 20 ns it shrinks as g -> 1 in each room
+        assert np.all(np.diff(at_20ns, axis=1) < 0.0)
+
 
 def bounce_expectation(tau, room, x):
     """Reference E[x^B | tau]: prod_i x^floor(s_i) (1 - f_i + f_i x) per direction.
