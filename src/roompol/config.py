@@ -1,11 +1,11 @@
 """Run configuration: a single YAML document with strictly validated sections.
 
-The allowed sections and keys are listed once, in `_SCHEMA`, and checked
-before any value is read; a section or key written twice is rejected. Every
-value is then read by one typed reader, `_get`, which rejects non-finite
-numbers, and funneled through the corresponding domain type so that
-invariant violations surface as named-field errors rather than crashes
-deeper in a run.
+Each section's keys, each key's kind and whether it is required are listed
+once, in `_SCHEMA`; a section or key written twice is rejected. The schema
+pass parses every present value by its kind, rejecting non-finite numbers,
+before any value is built. Each value is then funneled through the
+corresponding domain type so that invariant violations surface as
+named-field errors rather than crashes deeper in a run.
 """
 
 from __future__ import annotations
@@ -63,47 +63,6 @@ class RunConfig:
             raise ConfigError(f"this command requires the [{section}] config section")
 
 
-_SCHEMA = {
-    "room": {"lx", "ly", "lz"},
-    "carrier": {"wavelength_m"},
-    "material": {"g", "gamma"},
-    "antennas": {"xi", "mu_t", "mu_r"},
-    "link": {"distance_m", "los"},
-    "pulse": {"kind", "bandwidth_hz"},
-    "grid": {"start_ns", "stop_ns", "step_ns"},
-    "simulation": {"realizations", "seed", "bin_width_ns", "max_delay_ns", "placement"},
-    "fit": {"g0", "gamma0", "xi0", "noise0", "bounds_g", "bounds_gamma", "bounds_xi",
-            "window_ns", "method", "max_iterations"},
-    "cpr": {"distances_m"},
-}
-_REQUIRED_SECTIONS = ("room", "carrier")
-
-
-def _check_schema(doc) -> dict:
-    """The document's present sections, after checking them against `_SCHEMA`.
-
-    A section whose value is empty (YAML null) counts as absent.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping of sections")
-    sections = {}
-    for name, data in doc.items():
-        if name not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{name}]")
-        if data is None:
-            continue
-        if not isinstance(data, dict):
-            raise ConfigError(f"config section [{name}] must be a mapping")
-        for key in data:
-            if key not in _SCHEMA[name]:
-                raise ConfigError(f"unknown config key '{name}.{key}'")
-        sections[name] = data
-    for name in _REQUIRED_SECTIONS:
-        if name not in sections:
-            raise ConfigError(f"missing required config section [{name}]")
-    return sections
-
-
 def _finite(v) -> float | None:
     # YAML 1.1 reads exponents like 0.5e9 as strings; accept those too.
     # float() turns overflowing literals such as 1e999 into inf.
@@ -132,21 +91,58 @@ _KINDS = {
     "pair": (lambda v: _finite_list(v, 2), "a pair of finite numbers"),
     "list": (_finite_list, "a non-empty list of finite numbers"),
 }
-_REQUIRED = object()
+# section -> {key: kind}; a kind ending in "!" marks a key its section requires
+_SCHEMA = {
+    "room": {"lx": "number!", "ly": "number!", "lz": "number!"},
+    "carrier": {"wavelength_m": "number!"},
+    "material": {"g": "number!", "gamma": "number"},
+    "antennas": {"xi": "number", "mu_t": "pair", "mu_r": "pair"},
+    "link": {"distance_m": "number!", "los": "boolean"},
+    "pulse": {"kind": "string", "bandwidth_hz": "number!"},
+    "grid": {"start_ns": "number!", "stop_ns": "number!", "step_ns": "number!"},
+    "simulation": {"realizations": "integer!", "seed": "integer", "bin_width_ns": "number!",
+                   "max_delay_ns": "number!", "placement": "string"},
+    "fit": {"g0": "number", "gamma0": "number", "xi0": "number", "noise0": "number",
+            "bounds_g": "pair", "bounds_gamma": "pair", "bounds_xi": "pair",
+            "window_ns": "pair", "method": "string", "max_iterations": "integer"},
+    "cpr": {"distances_m": "list!"},
+}
+_REQUIRED_SECTIONS = ("room", "carrier")
 
 
-def _get(doc: dict, section: str, key: str, kind: str, default=_REQUIRED):
-    """Value of `section.key` read as `kind`; `default` if absent, unless required."""
-    data = doc[section]
-    if key not in data:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config key '{section}.{key}'")
-        return default
-    parse, what = _KINDS[kind]
-    value = parse(data[key])
-    if value is None:
-        raise ConfigError(f"config key '{section}.{key}' must be {what}, got {data[key]!r}")
-    return value
+def _check_schema(doc) -> dict:
+    """The document's present sections, each a dict of its values parsed by their `_SCHEMA` kinds.
+
+    Sections are checked in the document's order and their keys in the
+    schema's. A section whose value is empty (YAML null) counts as absent.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a mapping of sections")
+    sections = {}
+    for name, data in doc.items():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{name}]")
+        if data is None:
+            continue
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section [{name}] must be a mapping")
+        for key in data:
+            if key not in _SCHEMA[name]:
+                raise ConfigError(f"unknown config key '{name}.{key}'")
+        values = sections[name] = {}
+        for key, kind in _SCHEMA[name].items():
+            if key not in data:
+                if kind.endswith("!"):
+                    raise ConfigError(f"missing config key '{name}.{key}'")
+                continue
+            parse, what = _KINDS[kind.rstrip("!")]
+            values[key] = parse(data[key])
+            if values[key] is None:
+                raise ConfigError(f"config key '{name}.{key}' must be {what}, got {data[key]!r}")
+    for name in _REQUIRED_SECTIONS:
+        if name not in sections:
+            raise ConfigError(f"missing required config section [{name}]")
+    return sections
 
 
 def _build(name: str, factory, /, **kwargs):
@@ -157,62 +153,58 @@ def _build(name: str, factory, /, **kwargs):
         raise ConfigError(f"[{name}] {exc}") from exc
 
 
-def _parse_antennas(doc: dict) -> tuple[PolGain, PolGain]:
-    data = doc["antennas"]
+def _parse_antennas(data: dict) -> tuple[PolGain, PolGain]:
     has_xi = "xi" in data
     if has_xi and ("mu_t" in data or "mu_r" in data):
         raise ConfigError("give either 'antennas.xi' or explicit 'antennas.mu_t'/'antennas.mu_r', not both")
     if has_xi:
-        mu = _build("antennas", PolGain.from_split, xi=_get(doc, "antennas", "xi", "number"))
+        mu = _build("antennas", PolGain.from_split, xi=data["xi"])
         return mu, mu
     if not ("mu_t" in data and "mu_r" in data):
         raise ConfigError("explicit antenna gains need both 'antennas.mu_t' and 'antennas.mu_r'")
-    pairs = (_get(doc, "antennas", key, "pair") for key in ("mu_t", "mu_r"))
+    pairs = (data["mu_t"], data["mu_r"])
     return tuple(_build("antennas", PolGain, mu_theta=a, mu_phi=b) for a, b in pairs)
 
 
-def _parse_grid(doc: dict) -> np.ndarray:
-    start, stop, step = (
-        _get(doc, "grid", key, "number") for key in ("start_ns", "stop_ns", "step_ns")
-    )
+def _parse_grid(data: dict) -> np.ndarray:
+    start, stop, step = data["start_ns"], data["stop_ns"], data["step_ns"]
     n = _build("grid", _whole_steps, span_name="'grid.stop_ns' - 'grid.start_ns'",
                step_name="'grid.step_ns'", span=stop - start, step=step, least=1)
     return (start + step * np.arange(n + 1)) * 1e-9
 
 
-def _parse_simulation(doc: dict, cond: DistanceCondition | None) -> SimConfig:
-    placement = _get(doc, "simulation", "placement", "string", None)
-    fixed = placement == "fixed"
+def _parse_simulation(data: dict, cond: DistanceCondition | None) -> SimConfig:
+    fixed = data.get("placement") == "fixed"
     if fixed and cond is None:
         raise ConfigError("fixed placement requires the [link] section")
     return _build(
         "simulation",
         SimConfig,
-        n_realizations=_get(doc, "simulation", "realizations", "integer"),
-        bin_width=_get(doc, "simulation", "bin_width_ns", "number") * 1e-9,
-        max_delay=_get(doc, "simulation", "max_delay_ns", "number") * 1e-9,
-        rng_seed=_get(doc, "simulation", "seed", "integer", None),
-        placement=placement,
+        n_realizations=data["realizations"],
+        bin_width=data["bin_width_ns"] * 1e-9,
+        max_delay=data["max_delay_ns"] * 1e-9,
+        rng_seed=data.get("seed"),
+        placement=data.get("placement"),
         distance=cond.distance if fixed else None,
         los=cond.los if fixed else None,
     )
 
 
-def _parse_fit(doc: dict) -> dict:
+def _parse_fit(data: dict) -> dict:
     """The [fit] section as `fitting.FitProblem` keyword arguments; an absent key keeps its default."""
-    window = _get(doc, "fit", "window_ns", "pair", None)
+    window = data.get("window_ns")
     kwargs = dict(
         initial_guess=tuple(
-            _get(doc, "fit", key, "number", default)
+            data.get(key, default)
             for key, default in zip(("g0", "gamma0", "xi0", "noise0"), DEFAULT_GUESS)
         ),
         bounds=tuple(
-            _get(doc, "fit", key, "pair", default)
+            data.get(key, default)
             for key, default in zip(("bounds_g", "bounds_gamma", "bounds_xi"), DEFAULT_BOUNDS)
         ),
         fit_window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
-        method=_get(doc, "fit", "method", "string", None),
-        max_iterations=_get(doc, "fit", "max_iterations", "integer", None),
+        method=data.get("method"),
+        max_iterations=data.get("max_iterations"),
     )
     return {key: value for key, value in kwargs.items() if value is not None}
 
@@ -225,38 +217,30 @@ def load_run_config(path: str) -> RunConfig:
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     doc = _check_schema(raw)
-    cfg = RunConfig(
-        room=_build("room", RoomGeometry, **{
-            key: _get(doc, "room", key, "number") for key in ("lx", "ly", "lz")
-        }),
-        wavelength=_get(doc, "carrier", "wavelength_m", "number"),
-    )
+    # [room] and [material] keys are the `RoomGeometry` and `WallMaterial` field names
+    cfg = RunConfig(room=_build("room", RoomGeometry, **doc["room"]),
+                    wavelength=doc["carrier"]["wavelength_m"])
     _build("carrier", _require_length, name="wavelength", value=cfg.wavelength)
     if "material" in doc:
-        cfg.material = _build(
-            "material", WallMaterial, g=_get(doc, "material", "g", "number"),
-            gamma=_get(doc, "material", "gamma", "number", None),
-        )
+        cfg.material = _build("material", WallMaterial, **doc["material"])
     if "antennas" in doc:
-        cfg.mu_t, cfg.mu_r = _parse_antennas(doc)
+        cfg.mu_t, cfg.mu_r = _parse_antennas(doc["antennas"])
     if "link" in doc:
-        cfg.cond = _build(
-            "link", DistanceCondition, distance=_get(doc, "link", "distance_m", "number"),
-            los=_get(doc, "link", "los", "boolean", None),
-        )
+        link = doc["link"]
+        cfg.cond = _build("link", DistanceCondition, distance=link["distance_m"],
+                          los=link.get("los"))
     if "pulse" in doc:
-        cfg.pulse = _build(
-            "pulse", PulseShape, kind=_get(doc, "pulse", "kind", "string", None),
-            bandwidth=_get(doc, "pulse", "bandwidth_hz", "number"),
-        )
+        pulse = doc["pulse"]
+        cfg.pulse = _build("pulse", PulseShape, kind=pulse.get("kind"),
+                           bandwidth=pulse["bandwidth_hz"])
     if "grid" in doc:
-        cfg.grid = _parse_grid(doc)
+        cfg.grid = _parse_grid(doc["grid"])
     if "simulation" in doc:
-        cfg.sim = _parse_simulation(doc, cfg.cond)
+        cfg.sim = _parse_simulation(doc["simulation"], cfg.cond)
     if "fit" in doc:
-        cfg.fit = _parse_fit(doc)
+        cfg.fit = _parse_fit(doc["fit"])
     if "cpr" in doc:
-        cfg.cpr_distances = _get(doc, "cpr", "distances_m", "list")
+        cfg.cpr_distances = doc["cpr"]["distances_m"]
         for d in cfg.cpr_distances:
             _build("cpr.distances_m", DistanceCondition, distance=d)
     return cfg

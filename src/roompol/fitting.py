@@ -15,6 +15,7 @@ importing this module or running a default fit loads no scipy module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,7 +210,8 @@ def _from_internal(u, bounds) -> tuple[float, float, float, float]:
     expit = [1.0 / (1.0 + math.exp(min(-ui, 709.0))) for ui in u[:3]]
     # as expit rounds to 1, lo + (hi - lo) can round above hi
     vals = [min(hi, lo + (hi - lo) * e) for e, (lo, hi) in zip(expit, bounds)]
-    return (*vals, math.exp(u[3]))
+    # a trial step can take the log noise past exp's range: clamp it at the largest double
+    return (*vals, math.exp(min(u[3], math.log(sys.float_info.max))))
 
 
 def _trust_region_step(m, uf, s, V, Delta, alpha):

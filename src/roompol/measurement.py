@@ -87,28 +87,34 @@ class PdpTrace:
         self.delays = np.asarray(self.delays, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         _require_choice("scale", self.scale, _SCALES)
-        if self.delays.ndim != 1 or self.delays.size < 2:
-            raise ValueError("delay grid must be one-dimensional with at least two samples")
+        self.grid_step(self.delays)
         if self.values.shape != self.delays.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match delays {self.delays.shape}"
             )
-        if not np.all(np.isfinite(self.delays)):
+        if np.isnan(self.values).any() or (self.values == math.inf).any():
+            raise ValueError("trace values must not be NaN or +inf")
+        if self.scale == "linear" and (self.values < 0).any():
+            raise ValueError("linear trace values must be nonnegative")
+
+    @staticmethod
+    def grid_step(delays: np.ndarray) -> float:
+        """Step of `delays`, checked to be 1-D, of 2+ samples, finite, increasing and uniform."""
+        if delays.ndim != 1 or delays.size < 2:
+            raise ValueError("delay grid must be one-dimensional with at least two samples")
+        if not np.isfinite(delays).all():
             raise ValueError("delays must be finite")
-        steps = np.diff(self.delays)
-        if np.any(steps <= 0):
+        steps = np.diff(delays)
+        if (steps <= 0).any():
             raise ValueError("delays must be strictly increasing")
         # np.allclose(steps, steps[0], rtol=1e-6, atol=0) on finite steps, without its overhead
-        if np.any(np.abs(steps - steps[0]) > 1e-6 * steps[0]):
+        if (np.abs(steps - steps[0]) > 1e-6 * steps[0]).any():
             raise ValueError("delay grid must be uniformly spaced")
-        if np.isnan(self.values).any() or np.any(self.values == math.inf):
-            raise ValueError("trace values must not be NaN or +inf")
-        if self.scale == "linear" and np.any(self.values < 0):
-            raise ValueError("linear trace values must be nonnegative")
+        return float(delays[1] - delays[0])
 
     @property
     def spacing(self) -> float:
-        return float(self.delays[1] - self.delays[0])
+        return self.grid_step(self.delays)
 
 
 def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
@@ -171,7 +177,7 @@ def observed_pds(
     spacing <= 1/(4 bandwidth).
     """
     grid = np.array(grid, dtype=float)  # the returned trace's own copy
-    step = PdpTrace(delays=grid, values=np.zeros_like(grid)).spacing  # checks the grid
+    step = PdpTrace.grid_step(grid)
     if step > 1.0 / (4.0 * obs.pulse.bandwidth) * (1.0 + 1e-12):
         raise ValueError(
             f"grid spacing {step:.3e} s too coarse for bandwidth "

@@ -242,6 +242,45 @@ def test_every_key_is_accepted(tmp_path, section):
     assert cfg.fit["method"] == "simplex"
 
 
+# the keys `_SCHEMA` marks required, its kind ending in "!", and the others
+REQUIRED = [(s, k) for s, keys in _SCHEMA.items() for k, kind in keys.items() if kind.endswith("!")]
+OPTIONAL = [(s, k) for s in _SCHEMA for k in _SCHEMA[s] if (s, k) not in REQUIRED]
+
+
+def test_required_keys():
+    assert sorted(f"{s}.{k}" for s, k in REQUIRED) == [
+        "carrier.wavelength_m", "cpr.distances_m", "grid.start_ns", "grid.step_ns",
+        "grid.stop_ns", "link.distance_m", "material.g", "pulse.bandwidth_hz", "room.lx",
+        "room.ly", "room.lz", "simulation.bin_width_ns", "simulation.max_delay_ns",
+        "simulation.realizations",
+    ]
+
+
+@pytest.mark.parametrize("section, key", REQUIRED, ids=[f"{s}.{k}" for s, k in REQUIRED])
+def test_missing_required_key_is_named(tmp_path, section, key):
+    doc = full_document()
+    del doc[section][key]
+    with pytest.raises(ConfigError, match=rf"^missing config key '{section}\.{key}'$"):
+        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+
+
+@pytest.mark.parametrize("section, key", OPTIONAL, ids=[f"{s}.{k}" for s, k in OPTIONAL])
+def test_absent_optional_key_still_loads(tmp_path, section, key):
+    # an antenna key is absent from whichever of FULL and ALTERNATIVES lacks it
+    doc = full_document(section if key in FULL[section] else None)
+    doc[section].pop(key, None)
+    cfg = load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+    assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
+
+
+def test_every_kind_is_checked_before_any_value_is_built(tmp_path):
+    # [material] comes first and its g is out of range, but fit.g0 is mistyped
+    text = BASE.replace("{g: 0.4, gamma: 0.04}", "{g: 1.2}") + "fit: {g0: wood}\n"
+    message = r"^config key 'fit\.g0' must be a finite number, got 'wood'$"
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(write(tmp_path, text))
+
+
 @pytest.mark.parametrize("section, key", EVERY_KEY, ids=[f"{s}.{k}" for s, k in EVERY_KEY])
 def test_mapping_value_names_the_key(tmp_path, section, key):
     doc = full_document(section if key in ALTERNATIVES.get(section, {}) else None)
