@@ -50,11 +50,13 @@ def _write_report(path: str, columns: list[tuple[str, np.ndarray]]) -> None:
 
 def _curve_columns(tau, co, cross, params: model.PdsParams) -> list[tuple[str, np.ndarray]]:
     """Delay, co, cross, total and `params`' asymptote columns of linear curves, in dB."""
+    with np.errstate(over="ignore"):  # an overflowing total writes the empty field
+        total = co + cross
     return [
         ("delay_ns", tau * 1e9),
         ("co_db", to_db(co)),
         ("cross_db", to_db(cross)),
-        ("total_db", to_db(co + cross)),
+        ("total_db", to_db(total)),
         ("asymptote_db", to_db(model.pds_asymptote(tau, params))),
     ]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import norm, svd
 
-from .measurement import ObservationParams, PdpTrace, PulseShape, from_db, observed_pds, to_db
+from .measurement import PdpTrace, PulseShape, Sounding, from_db, observed_values, sounding, to_db
 from .model import (
     DistanceCondition,
     PdsParams,
@@ -31,6 +31,7 @@ from .model import (
     _require_choice,
     _require_int,
     _require_length,
+    _require_nonnegative,
     _require_positive,
     channel_pair,
 )
@@ -50,6 +51,9 @@ _GTOL = 1e-14
 class FitProblem:
     """Joint co/cross fitting task. Traces must be dB on one shared grid.
 
+    What every residual shares is derived once, at construction: the grid's
+    `sounding` of the pulse (a grid too coarse for it is refused here) and `window_mask`.
+
     `max_iterations` caps the trial points of least squares (its Jacobian
     evaluations not counted) and is `maxiter` for each of simplex's two
     Nelder-Mead runs.
@@ -66,6 +70,8 @@ class FitProblem:
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     method: str = METHODS[0]
     max_iterations: int = 2000
+    # the grid checked against the pulse, with its taps (see `sounding`)
+    sounding: Sounding = field(init=False, repr=False)
     # the grid samples inside fit_window (all of them without one)
     window_mask: np.ndarray = field(init=False, repr=False)
 
@@ -91,11 +97,12 @@ class FitProblem:
         for name, (lo, hi) in zip(("g", "gamma", "xi"), self.bounds):
             if not (0.0 < lo < hi < 1.0):
                 raise ValueError(f"bounds for {name} must satisfy 0 < low < high < 1")
-        grid = self.co_trace.delays
+        self.sounding = sounding(self.co_trace.delays, self.pulse)
+        grid = self.sounding.grid
         self.window_mask = np.ones(grid.size, dtype=bool)
         if self.fit_window is not None:
             t0, t1 = self.fit_window
-            eps = 1e-9 * self.co_trace.spacing
+            eps = 1e-9 * self.sounding.step
             self.window_mask = (grid >= t0 - eps) & (grid <= t1 + eps)
             n_window = int(self.window_mask.sum())
             if n_window < 2:  # two residuals per channel for the four parameters
@@ -144,18 +151,6 @@ def split_params(problem: FitProblem, g: float, gamma: float, xi: float) -> PdsP
     )
 
 
-def _model_traces(
-    params, problem: FitProblem, cond: DistanceCondition | None
-) -> tuple[PdpTrace, PdpTrace]:
-    g, gamma, xi, noise = params
-    obs = ObservationParams(pulse=problem.pulse, noise_power=noise)
-    grid = problem.co_trace.delays
-    co, cross = (
-        observed_pds(grid, p, cond, obs) for p in channel_pair(split_params(problem, g, gamma, xi))
-    )
-    return co, cross
-
-
 def residual(params, problem: FitProblem) -> np.ndarray:
     """Stacked dB residuals (model minus measured) over the fit window.
 
@@ -168,10 +163,10 @@ def residual(params, problem: FitProblem) -> np.ndarray:
             raise ValueError(f"parameter {name}={value} outside bounds ({lo}, {hi})")
     _require_positive("noise power", noise)
     mask = problem.window_mask
-    co, cross = _model_traces(params, problem, problem.cond)
-    res_co = to_db(co.values[mask]) - problem.co_trace.values[mask]
-    res_cross = to_db(cross.values[mask]) - problem.cross_trace.values[mask]
-    return np.concatenate([res_co, res_cross])
+    co, cross = (to_db(observed_values(problem.sounding, p, problem.cond, noise)[mask])
+                 for p in channel_pair(split_params(problem, g, gamma, xi)))
+    return np.concatenate([co - problem.co_trace.values[mask],
+                           cross - problem.cross_trace.values[mask]])
 
 
 def estimate_noise_floor(problem: FitProblem) -> float:
@@ -190,7 +185,8 @@ def estimate_noise_floor(problem: FitProblem) -> float:
     power = from_db(pooled)
     mid = power.size // 2  # pooled holds 2 * tail values, so the size is even
     lo, hi = np.partition(power, (mid - 1, mid))[mid - 1 : mid + 1]
-    return max(float((lo + hi) / 2), 1e-30)
+    # halving is exact, so this is (lo + hi) / 2 wherever that sum does not overflow
+    return max(float(lo / 2 + hi / 2), 1e-30)
 
 
 def _logit(x: float) -> float:
@@ -408,5 +404,10 @@ def predict(
     under a new link condition. Returns linear (co, cross) traces on the
     problem grid.
     """
-    params = (result.g, result.gamma, result.xi, result.noise_power)
-    return _model_traces(params, problem, cond)
+    _require_nonnegative("noise power", result.noise_power)
+    s = problem.sounding
+    co, cross = (
+        PdpTrace(s.grid.copy(), observed_values(s, p, cond, result.noise_power))
+        for p in channel_pair(split_params(problem, result.g, result.gamma, result.xi))
+    )
+    return co, cross

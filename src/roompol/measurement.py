@@ -6,9 +6,11 @@ pulse and by an additive white noise floor:
 
     P_y(tau) = integral P(tau - t) |s(t)|^2 dt + P_noise.
 
-This module tabulates unit-energy pulses on the delay grid, applies the
-convolution, places the discrete direct-path spike as a pulse-shaped bump,
-and holds the one dB rule (`to_db`, `from_db`) for sampled traces.
+A `sounding` checks a delay grid once and tabulates the unit-energy pulse
+on it; `observed_values` then applies the convolution, places the discrete
+direct-path spike as a pulse-shaped bump and adds the noise, as often as the
+parameters change. The module also holds the one dB rule (`to_db`,
+`from_db`) for sampled traces.
 """
 
 from __future__ import annotations
@@ -112,42 +114,42 @@ class PdpTrace:
             raise ValueError("delay grid must be uniformly spaced")
         return float(delays[1] - delays[0])
 
-    @property
-    def spacing(self) -> float:
-        return self.grid_step(self.delays)
+
+@dataclass(frozen=True)
+class Sounding:
+    """A delay grid and its step, checked to resolve `pulse`; |s|^2 `taps` on that step with
+    sum(taps) * step = 1 exactly (the convolution preserves energy); `ext`, the grid extended
+    by half the taps each side, so the filter never pads a nonzero density with zeros."""
+
+    grid: np.ndarray
+    step: float
+    pulse: PulseShape
+    taps: np.ndarray
+    ext: np.ndarray
 
 
-def pulse_taps(pulse: PulseShape, spacing: float) -> np.ndarray:
-    """Tabulate |s|^2 symmetrically on a grid of step `spacing`.
-
-    Taps are renormalized so that sum(taps) * spacing = 1 exactly, making the
-    discrete convolution energy preserving.
-    """
-    _require_positive("grid spacing", spacing)
-    half = pulse.half_support() / spacing
+def sounding(grid, pulse: PulseShape) -> Sounding:
+    """Check `grid` by `PdpTrace`'s rule and its step against `pulse`
+    (step <= 1/(4 bandwidth)), then tabulate the pulse on it."""
+    grid = np.array(grid, dtype=float)  # the sounding's own copy
+    step = PdpTrace.grid_step(grid)
+    if step > 1.0 / (4.0 * pulse.bandwidth) * (1.0 + 1e-12):
+        raise ValueError(
+            f"grid spacing {step:.3e} s too coarse for bandwidth "
+            f"{pulse.bandwidth:.3e} Hz; need spacing <= 1/(4 bandwidth)"
+        )
+    half = pulse.half_support() / step
     if not half <= _MAX_CELLS:  # taps on each side of the pulse centre
         raise ValueError(
             f"pulse bandwidth {pulse.bandwidth:.4g} Hz needs more than {_MAX_CELLS} taps "
-            f"each side of its centre on a {spacing:.4g} s grid"
+            f"each side of its centre on a {step:.4g} s grid"
         )
     k = int(math.ceil(half)) + 1
-    raw = pulse.power_profile(np.arange(-k, k + 1) * spacing)
-    return raw / (raw.sum() * spacing)
-
-
-def convolve_density(grid: np.ndarray, step: float, density, pulse: PulseShape) -> np.ndarray:
-    """Convolve a continuous density with the pulse power profile on `grid` of step `step`.
-
-    `density` is a callable evaluated on an extension of the grid so the
-    filter never sees zero padding where the density is nonzero.
-    """
-    taps = pulse_taps(pulse, step)
-    k = len(taps) // 2
+    raw = pulse.power_profile(np.arange(-k, k + 1) * step)
     ext = np.concatenate(
         [grid[0] + np.arange(-k, 0) * step, grid, grid[-1] + np.arange(1, k + 1) * step]
     )
-    samples = np.asarray(density(ext), dtype=float)
-    return np.convolve(samples, taps, mode="valid") * step
+    return Sounding(grid, step, pulse, raw / (raw.sum() * step), ext)
 
 
 def _spike_bump(grid: np.ndarray, step: float, delay: float, weight: float, pulse) -> np.ndarray:
@@ -162,33 +164,26 @@ def _spike_bump(grid: np.ndarray, step: float, delay: float, weight: float, puls
     return weight * raw / norm
 
 
-def observed_pds(
-    grid: np.ndarray,
-    p: PdsParams,
-    cond: DistanceCondition | None,
-    obs: ObservationParams,
-) -> PdpTrace:
-    """Model trace as a sounder would record it: pulse smearing plus noise.
-
-    The diffuse density (distance-conditioned when `cond` is given) is
-    convolved with the pulse power profile; under line of sight the direct
-    spike is added as a pulse-shaped bump of matching energy; the noise
-    floor is added to every sample. Grid spacing must resolve the pulse:
-    spacing <= 1/(4 bandwidth).
-    """
-    grid = np.array(grid, dtype=float)  # the returned trace's own copy
-    step = PdpTrace.grid_step(grid)
-    if step > 1.0 / (4.0 * obs.pulse.bandwidth) * (1.0 + 1e-12):
-        raise ValueError(
-            f"grid spacing {step:.3e} s too coarse for bandwidth "
-            f"{obs.pulse.bandwidth:.3e} Hz; need spacing <= 1/(4 bandwidth)"
-        )
-    values = convolve_density(grid, step, lambda t: pds_conditional(t, p, cond), obs.pulse)
+def observed_values(s: Sounding, p: PdsParams, cond: DistanceCondition | None,
+                    noise_power: float) -> np.ndarray:
+    """Model values on the sounding's grid: the diffuse density (distance-conditioned
+    when `cond` is given) convolved with the pulse, the direct spike of line of sight
+    as a pulse-shaped bump of matching energy, and `noise_power` on every sample."""
+    values = np.convolve(pds_conditional(s.ext, p, cond), s.taps, mode="valid") * s.step
     spike = direct_path(p, cond)
     if spike is not None:
-        values = values + _spike_bump(grid, step, spike.delay, spike.weight, obs.pulse)
-    values = values + obs.noise_power
-    return PdpTrace(delays=grid, values=values, scale="linear")
+        values = values + _spike_bump(s.grid, s.step, spike.delay, spike.weight, s.pulse)
+    return values + noise_power
+
+
+def observed_pds(grid: np.ndarray, p: PdsParams, cond: DistanceCondition | None,
+                 obs: ObservationParams) -> PdpTrace:
+    """Model trace as a sounder would record it on `grid`: `observed_values` on
+    `sounding(grid, obs.pulse)`. Grid spacing must resolve the pulse:
+    spacing <= 1/(4 bandwidth).
+    """
+    s = sounding(grid, obs.pulse)
+    return PdpTrace(delays=s.grid, values=observed_values(s, p, cond, obs.noise_power))
 
 
 def to_db(power):

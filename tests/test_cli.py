@@ -279,26 +279,43 @@ class TestFit:
         header, cells = read_table(str(out))
         assert len(cells) == 600 and float(cells[0][0]) == -5.0
 
-    def test_high_level_traces_are_fitted(self, tmp_path, capsys):
-        # 1600 dB: a trial step's log noise can pass exp's range, which raised
-        # an OverflowError (exit 1) before it was clamped at the largest double
+    @staticmethod
+    def fit_constant_level(tmp_path, capsys, level_db):
+        """`fit` on 301-sample traces at `level_db` plus 0.3 dB gaussian noise:
+        the exit code, stdout's values and the report's header and cells."""
         rng = np.random.default_rng(0)
         grid = np.arange(301) * 0.5e-9
         paths = {}
         for tag in ("co", "cross"):
             paths[tag] = str(tmp_path / f"{tag}.csv")
-            level = 1600.0 + 0.3 * rng.standard_normal(301)
+            level = level_db + 0.3 * rng.standard_normal(301)
             write_trace_csv(paths[tag], PdpTrace(grid, level, "db"))
         config = write_config(tmp_path, (
             "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
             "carrier: {wavelength_m: 0.005}\n"
             "pulse: {kind: boxcar, bandwidth_hz: 0.5e9}\n"
         ))
+        out = tmp_path / "fitted.csv"
         code = main(["fit", "--config", config, "--co", paths["co"],
-                     "--cross", paths["cross"], "--out", str(tmp_path / "fitted.csv")])
+                     "--cross", paths["cross"], "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        assert parse_stdout(captured.out)["converged"] == "yes"
+        return parse_stdout(captured.out), read_table(str(out))
+
+    def test_high_level_traces_are_fitted(self, tmp_path, capsys):
+        # 1600 dB: a trial step's log noise can pass exp's range, which raised
+        # an OverflowError (exit 1) before it was clamped at the largest double
+        values, _ = self.fit_constant_level(tmp_path, capsys, 1600.0)
+        assert values["converged"] == "yes"
+
+    def test_traces_near_the_largest_double_are_fitted(self, tmp_path, capsys):
+        # 3080 dB is 1e308: the noise floor's (lo + hi) / 2 overflowed to an
+        # infinite start (exit 2 on a NaN noise), and so does co + cross,
+        # whose total is then written as the empty field
+        values, (header, cells) = self.fit_constant_level(tmp_path, capsys, 3080.0)
+        assert values["converged"] == "yes"
+        total = header.index("total_db")
+        assert all(row[total] == "" for row in cells)
 
     def test_linear_trace_is_a_validation_error(self, tmp_path, capsys):
         # trace files hold dB only: the writer refuses a linear trace

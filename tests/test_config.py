@@ -154,7 +154,8 @@ def test_fit_section_defaults_and_window(tmp_path):
     assert cfg.fit["max_iterations"] == 500
     # an absent key is left out, so `FitProblem` applies its own default
     assert "method" not in cfg.fit
-    trace = PdpTrace(np.arange(0.0, 200e-9, 1e-9), np.full(200, -50.0), "db")
+    # a 0.25 ns grid resolves the 1 GHz pulse, which `FitProblem` checks when it is built
+    trace = PdpTrace(np.arange(0.0, 200e-9, 0.25e-9), np.full(800, -50.0), "db")
     problem = FitProblem(cfg.room, cfg.wavelength, cfg.cond, cfg.pulse, trace, trace, **cfg.fit)
     assert problem.method == "least_squares"
 

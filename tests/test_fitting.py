@@ -76,6 +76,19 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="share one delay grid"):
             FitProblem(ROOM, LAM, COND, PULSE, co, shifted)
 
+    @pytest.mark.parametrize(
+        "pulse, message",
+        [(PulseShape("boxcar", 1e9), "too coarse for bandwidth"),
+         (PulseShape("gaussian", 1e-300), "needs more than 10000000 taps")],
+        ids=["coarser-than-a-quarter-period", "more-taps-than-the-cap"],
+    )
+    def test_rejects_a_grid_that_cannot_carry_the_pulse_when_built(self, pulse, message):
+        # the 0.5 ns grid resolves the 0.5 GHz pulse of the traces, but not a
+        # 1 GHz one (step <= 0.25 ns); the refusal comes before any residual
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        with pytest.raises(ValueError, match=message):
+            FitProblem(ROOM, LAM, COND, pulse, co, cross)
+
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError, match="window"):
             synth_problem(fit_window=(10e-9, 10.4e-9))
@@ -149,7 +162,7 @@ class TestProblemValidation:
         # model parameters of the first trial point reject it
         co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
         problem = FitProblem(ROOM, 1e150, COND, PULSE, co, cross)
-        monkeypatch.setattr(fitting, "observed_pds", None)  # never reached
+        monkeypatch.setattr(fitting, "observed_values", None)  # never reached
         with pytest.raises(ValueError, match=r"^power scale c lam\^2 / 2V must be > 0 and finite"):
             fit(problem)
 
@@ -212,6 +225,22 @@ class TestResidual:
 
 class TestFit:
     TRUTH = (0.4, 0.04, 0.02, 1e-11)
+
+    @pytest.mark.parametrize("method", fitting.METHODS)
+    def test_the_grid_is_checked_once_per_problem(self, method, monkeypatch):
+        # the sounding `FitProblem` builds carries the checked grid, so no
+        # residual checks it again
+        problem = synth_problem(*self.TRUTH, db_noise_std=0.3, method=method, max_iterations=50)
+        calls = []
+        grid_step = PdpTrace.grid_step
+
+        def counted(delays):
+            calls.append(delays.size)
+            return grid_step(delays)
+
+        monkeypatch.setattr(PdpTrace, "grid_step", staticmethod(counted))
+        assert fit(problem).iterations > 0
+        assert calls == []
 
     def test_noise_free_round_trip(self):
         result = fit(synth_problem(*self.TRUTH))

@@ -18,12 +18,11 @@ from roompol import (
     db_linear_convert,
     direct_path,
     observed_pds,
-    pds,
     pds_conditional,
     reverberation_time,
 )
 from roompol import measurement
-from roompol.measurement import convolve_density, from_db, pulse_taps, to_db
+from roompol.measurement import from_db, observed_values, sounding, to_db
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 MAT = WallMaterial(g=0.4, gamma=0.04)
@@ -41,7 +40,7 @@ class TestPulse:
     def test_discrete_taps_have_unit_energy(self, kind, bandwidth, divisor):
         pulse = PulseShape(kind=kind, bandwidth=bandwidth)
         spacing = 1.0 / (divisor * bandwidth)
-        taps = pulse_taps(pulse, spacing)
+        taps = sounding(np.arange(8) * spacing, pulse).taps
         assert taps.sum() * spacing == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
@@ -72,21 +71,26 @@ class TestPulse:
 
     @pytest.mark.parametrize("spacing", [0.0, -1e-10, math.nan, math.inf])
     def test_taps_reject_a_nonpositive_spacing(self, spacing):
-        with pytest.raises(ValueError, match="grid spacing must be > 0"):
-            pulse_taps(PulseShape(), spacing)
+        # the taps' step is the grid's, so the grid rule refuses it
+        message = "strictly increasing" if math.isfinite(spacing) else "delays must be finite"
+        with pytest.raises(ValueError, match=message):
+            sounding(np.array([0.0, spacing, 2.0 * spacing]), PulseShape())
 
     def test_pulse_too_wide_for_the_grid_is_rejected_before_tabulation(self):
         with pytest.raises(ValueError, match="pulse bandwidth 1e-300 Hz needs more than 10000000"):
-            pulse_taps(PulseShape(kind="gaussian", bandwidth=1e-300), 0.5e-9)
+            sounding(np.arange(2) * 0.5e-9, PulseShape(kind="gaussian", bandwidth=1e-300))
 
     def test_tap_cap_is_exact(self, monkeypatch):
         # a boxcar of bandwidth 1/8 on a unit grid reaches exactly 4 steps each side
         pulse = PulseShape(kind="boxcar", bandwidth=0.125)
         monkeypatch.setattr(measurement, "_MAX_CELLS", 4)
-        assert pulse_taps(pulse, 1.0).size == 11
+        s = sounding(np.arange(5.0), pulse)
+        assert s.taps.size == 11
+        # the extended grid holds the 5 samples and the 5 outside each end
+        npt.assert_array_equal(s.ext, np.arange(-5.0, 10.0))
         monkeypatch.setattr(measurement, "_MAX_CELLS", 3)
         with pytest.raises(ValueError, match="more than 3 taps"):
-            pulse_taps(pulse, 1.0)
+            sounding(np.arange(5.0), pulse)
 
 
 class TestObservedPds:
@@ -167,15 +171,15 @@ class TestObservedPds:
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
     def test_convolution_is_linear(self, kind):
-        step = 0.1e-9
-        grid = np.arange(0.0, 30e-9, step)
-        pulse = PulseShape(kind, 2e9)
-        f = lambda t: pds(t, make_params())
-        g = lambda t: np.where(t >= 0, 7.5e-3 * np.cos(t / 5e-9) ** 2, 0.0)
-        combined = convolve_density(grid, step, lambda t: f(t) + 2.0 * g(t), pulse)
-        separate = (convolve_density(grid, step, f, pulse)
-                    + 2.0 * convolve_density(grid, step, g, pulse))
-        npt.assert_allclose(combined, separate, rtol=1e-12)
+        # doubling both mean gains scales the density, the spike and so the
+        # smeared values by 4, a power of two, so exactly
+        s = sounding(np.arange(0.0, 30e-9, 0.1e-9), PulseShape(kind, 2e9))
+        p = make_params(xi=0.1)
+        mu = PolGain(2.0 * p.mu_t.mu_theta, 2.0 * p.mu_t.mu_phi)
+        doubled = PdsParams(room=ROOM, material=MAT, mu_t=mu, mu_r=mu, wavelength=p.wavelength)
+        for cond in (None, DistanceCondition(distance=1.8, los=True)):
+            npt.assert_array_equal(observed_values(s, doubled, cond, 0.0),
+                                   4.0 * observed_values(s, p, cond, 0.0))
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
     def test_direct_bump_shifts_with_the_grid(self, kind):
@@ -191,9 +195,8 @@ class TestObservedPds:
         for d in (d1, d2):
             cond = DistanceCondition(distance=d, los=True)
             with_spike = observed_pds(grid, p, cond, obs).values
-            diffuse_only = convolve_density(
-                grid, step, lambda t: pds_conditional(t, p, cond), obs.pulse
-            )
+            # NLOS at the same distance: the same gate, and no spike
+            diffuse_only = observed_pds(grid, p, DistanceCondition(d, los=False), obs).values
             bump.append((with_spike - diffuse_only) / direct_path(p, cond).weight)
         # compare within the pulse support; outside it the bump is buried in
         # the float cancellation noise of the much larger diffuse term
