@@ -114,7 +114,7 @@ def write_report_csv(path: str, columns: list[tuple[str, np.ndarray]], formatter
     # Python floats format like np.float64, and a list indexes faster than an array
     cells = [col.tolist() for _, col in columns]
     lines = ["# roompol report", _DB_REFERENCE_NOTE, ",".join(names)]
-    for row in zip(*cells):
-        lines.append(",".join(fmt(x) for x, fmt in zip(row, formatters)))
+    for row in zip(*cells, strict=True):  # a short column or formatter list raises
+        lines.append(",".join(fmt(x) for x, fmt in zip(row, formatters, strict=True)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

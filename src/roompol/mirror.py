@@ -246,9 +246,17 @@ def _sample_fixed(rng: np.random.Generator, n: int, dims: np.ndarray, distance: 
     return tx_out, rx_out
 
 
+def _delay_bin(d2, bin_width: float):
+    """The oracle's one delay-bin rule: sqrt(d2) / c / bin_width, truncated; d2 is kept."""
+    tau = np.sqrt(d2)
+    tau /= SPEED_OF_LIGHT
+    tau /= bin_width
+    return tau.astype(np.int64)
+
+
 def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
     """Largest double d2 whose delay sqrt(d2) / c lies before `max_delay` and
-    whose bin index, as `_run_chunk` computes it, lies below `n_bins`.
+    whose bin index, `_delay_bin(d2, bin_width)`, lies below `n_bins`.
 
     Correctly rounded sqrt and division are monotone in d2, and so is the
     truncated index, so the pairs with 0 < d2 <= this bound are exactly those
@@ -258,8 +266,7 @@ def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
     """
 
     def kept(d2: float) -> bool:
-        tau = math.sqrt(d2) / SPEED_OF_LIGHT
-        return tau < max_delay and int(tau / bin_width) < n_bins
+        return math.sqrt(d2) / SPEED_OF_LIGHT < max_delay and _delay_bin(d2, bin_width) < n_bins
 
     reach = SPEED_OF_LIGHT * max_delay
     d2 = reach * reach
@@ -270,7 +277,7 @@ def _max_kept_d2(max_delay: float, bin_width: float, n_bins: int) -> float:
     return d2
 
 
-def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarray:
+def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max) -> np.ndarray:
     """Accumulate binned co + 1j * cross powers for one chunk of n realizations.
 
     The (realization, cell) pairs are formed in C-ordered tiles of `rows`
@@ -285,11 +292,11 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarr
 
     One compare keeps the pairs with d2 <= d2_max (`_max_kept_d2`); of those,
     only a transmitter exactly on the receiver has d2 == 0, and it is dropped
-    among the kept arrivals before any division. Sqrt, delay and power are
-    then formed in place for the survivors only. `g_pow` (g^B) and `mix`
-    (co + 1j * cross) are formed here from `lattice.bounces` and `params`,
-    one entry per cell; tiled to `rows` rows, each is one gather by flat
-    index, and one complex sum per bin holds both.
+    among the kept arrivals before any division. Only the survivors are
+    binned, by `_delay_bin` into `cfg.n_bins` bins, and their power is formed
+    in place. `g_pow` (g^B) and `mix` (co + 1j * cross) are formed here from
+    `lattice.bounces` and `params`, one entry per cell; tiled to `rows` rows,
+    each is one gather by flat index, and one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array([params.room.lx, params.room.ly, params.room.lz])
@@ -299,13 +306,13 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarr
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
     rows = max(1, _TILE // lattice.iz.size)
     material = params.material
-    g_pow = np.tile(material.g ** lattice.bounces.astype(float), rows)
+    g_pow = np.tile(material.g ** lattice.bounces, rows)
     # A channel's weight is half its two split parts; g^B stays in g_pow.
     rho_pow = _rho_power(material.gamma, lattice.bounces)
     splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(params))
     mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
     mix = mix_co + 1j * mix_cross
-    if cfg.placement == "fixed" and not cfg.los:
+    if not cfg.los:
         # The transmitter's cell, the one with zero bounces, weighs nothing.
         # Its arrival adds +0.0 to a bin that holds a sum of terms >= +0.0,
         # so every bin keeps its bits.
@@ -317,7 +324,7 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarr
         for i, (off, sign) in enumerate(zip(lattice.offsets, lattice.signs))
     )
     col_x, col_y, col_size = lattice.columns
-    acc = np.zeros(n_bins, dtype=complex)
+    acc = np.zeros(cfg.n_bins, dtype=complex)
     for r in range(0, n, rows):
         # Summed as (x + y) + z, realization-major over the kept cells: the
         # same terms in the same order as over the full cube.
@@ -330,10 +337,7 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max, n_bins) -> np.ndarr
         if not d2.all():  # a transmitter exactly on the receiver
             keep = d2 > 0.0
             flat, d2 = flat[keep], d2[keep]
-        tau = np.sqrt(d2)
-        tau /= SPEED_OF_LIGHT
-        tau /= cfg.bin_width
-        idx = tau.astype(np.int64)
+        idx = _delay_bin(d2, cfg.bin_width)
         # d2 becomes the arrival power g^B * lambda^2 / (4 pi d2), in place
         d2 *= 4.0 * np.pi
         np.divide(params.wavelength * params.wavelength, d2, out=d2)
@@ -386,12 +390,10 @@ def simulate_pdp(
             f"fixed distance {cfg.distance} m is below {floor:.3g} m, the least at which "
             f"the room's coordinate rounding stays within 1e-6 of it"
         )
-    n_bins = cfg.n_bins
 
-    run = functools.partial(
-        _run_chunk, cfg=cfg, lattice=enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay),
-        params=p, d2_max=_max_kept_d2(cfg.max_delay, cfg.bin_width, n_bins), n_bins=n_bins,
-    )
+    lattice = enumerate_images(room, SPEED_OF_LIGHT * cfg.max_delay)
+    d2_max = _max_kept_d2(cfg.max_delay, cfg.bin_width, cfg.n_bins)
+    run = functools.partial(_run_chunk, cfg=cfg, lattice=lattice, params=p, d2_max=d2_max)
     sizes = [min(_CHUNK, cfg.n_realizations - k) for k in range(0, cfg.n_realizations, _CHUNK)]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(sizes))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -403,7 +405,7 @@ def simulate_pdp(
     with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         acc = sum((pool.map if pool else map)(run, seeds, sizes))  # in chunk order
 
-    centers = (np.arange(n_bins) + 0.5) * cfg.bin_width
+    centers = (np.arange(cfg.n_bins) + 0.5) * cfg.bin_width
     norm = cfg.n_realizations * cfg.bin_width
     # Split before dividing: complex-by-real division rounds both parts otherwise.
     co = PdpTrace(delays=centers, values=acc.real / norm, scale="linear")

@@ -26,6 +26,7 @@ from roompol import (
     db_linear_convert,
     observed_pds,
 )
+from roompol import io
 from roompol.cli import build_parser, main
 from roompol.io import TraceFormatError, read_trace_csv, write_trace_csv
 
@@ -805,6 +806,25 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match=message) as info:
             read_trace_csv(str(path))
         assert str(info.value).startswith(f"{path}: ")
+
+
+class TestReportCsv:
+    # a report is built whole before its file is opened, so a refused one leaves none
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "report.csv"
+        columns = [("delay_ns", np.arange(5) * 1e-9), ("co_db", np.zeros(3))]
+        with pytest.raises(ValueError, match="argument 2 is shorter than argument 1"):
+            io.write_report_csv(str(path), columns, [io.format_delay_ns, io.format_db])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n_formatters", [1, 3])
+    def test_formatters_must_match_the_columns(self, tmp_path, n_formatters):
+        path = tmp_path / "report.csv"
+        columns = [("delay_ns", np.arange(3) * 1e-9), ("co_db", np.zeros(3))]
+        formatters = [io.format_delay_ns] + [io.format_db] * (n_formatters - 1)
+        with pytest.raises(ValueError, match="argument 2 is (shorter|longer) than argument 1"):
+            io.write_report_csv(str(path), columns, formatters)
+        assert not path.exists()
 
 
 def fresh_env():

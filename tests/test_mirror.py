@@ -110,11 +110,10 @@ def full_cube_pdp(room, material, mu_t, mu_r, wavelength, cfg):
             else:
                 d2 = d2 + sq[:, None, None, :]
         d2 = d2.reshape(n, -1)
-        tau = np.sqrt(d2) / c
-        mask = (tau < cfg.max_delay) & (d2 > 0.0) & keep_img[None, :]
+        mask = (np.sqrt(d2) / c < cfg.max_delay) & (d2 > 0.0) & keep_img[None, :]
         w = wavelength * wavelength / (4.0 * np.pi * d2[mask])
         attn = np.broadcast_to(g_pow, d2.shape)[mask] * w
-        idx = (tau[mask] / cfg.bin_width).astype(np.int64)
+        idx = mirror._delay_bin(d2[mask], cfg.bin_width)
         acc_co += np.bincount(
             idx, weights=attn * np.broadcast_to(mix_co, d2.shape)[mask], minlength=n_bins
         )
@@ -324,6 +323,31 @@ class TestTiling:
         assert np.array_equal(co.values, ref_co)
         assert np.array_equal(cross.values, ref_cross)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(), dict(placement="fixed", distance=1.8, los=False)],
+        ids=["uniform", "fixed_nlos"],
+    )
+    def test_every_tile_is_binned_by_the_one_rule(self, monkeypatch, kw):
+        # _max_kept_d2 asks the rule about single distances; each tile passes
+        # its kept array, whose bins must all lie below the config's count
+        cfg = SimConfig(n_realizations=3000, bin_width=1e-9, max_delay=31e-9, rng_seed=5, **kw)
+        delay_bin, tiles = mirror._delay_bin, []
+
+        def recording_delay_bin(d2, bin_width):
+            idx = delay_bin(d2, bin_width)
+            if np.ndim(idx):
+                tiles.append(idx)
+            return idx
+
+        monkeypatch.setattr(mirror, "_delay_bin", recording_delay_bin)
+        co, _ = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
+        rows = mirror._TILE // enumerate_images(ROOM, SPEED_OF_LIGHT * cfg.max_delay).iz.size
+        assert len(tiles) == sum(math.ceil(size / rows) for size in (_CHUNK, 3000 - _CHUNK))
+        idx = np.concatenate(tiles)
+        assert idx.min() >= 0 and idx.max() < cfg.n_bins
+        assert set(np.flatnonzero(co.values)) == set(idx)
+
     @pytest.mark.parametrize("delay_ns", [53, 80])
     def test_chunk_memory_is_bounded_as_max_delay_grows(self, delay_ns):
         # The kept lattice grows as max_delay**3 (1041 cells at 53 ns, 2685 at
@@ -357,7 +381,7 @@ class TestTiling:
         cfg = SimConfig(n_realizations=10, bin_width=1e-9, max_delay=53e-9)
         simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
         (run,) = runners
-        assert set(run.keywords) == {"cfg", "lattice", "params", "d2_max", "n_bins"}
+        assert set(run.keywords) == {"cfg", "lattice", "params", "d2_max"}
         assert len(pickle.dumps(run)) < 24 * 1024
 
 
@@ -366,9 +390,9 @@ class TestKeepBound:
 
     @staticmethod
     def kept(d2, max_delay, bin_width, n_bins):
-        # the chunk's own arithmetic: numpy sqrt, divide by c, by the bin width
-        tau = np.sqrt(d2) / SPEED_OF_LIGHT
-        return tau < max_delay and int(tau / bin_width) < n_bins
+        # before max_delay, and binned below n_bins by the chunk's own rule
+        before = np.sqrt(d2) / SPEED_OF_LIGHT < max_delay
+        return before and mirror._delay_bin(d2, bin_width) < n_bins
 
     def check(self, max_delay, bin_width):
         n_bins = int(round(max_delay / bin_width))
@@ -396,11 +420,16 @@ class TestKeepBound:
                 if abs(ratio - round(ratio)) <= 1e-6 and b < k:
                     self.check(k * 1e-9, b * 1e-9)
 
+    def test_delay_bin_truncates_the_delay_in_bin_widths(self):
+        # 0, 1.8 and 3 m take 0, 6.004 and 10.007 ns
+        npt.assert_array_equal(mirror._delay_bin(np.array([0.0, 1.8**2, 9.0]), 1e-9), [0, 6, 10])
+        assert mirror._delay_bin(9.0, 2e-9) == 5 and mirror._delay_bin(9.0, 0.5e-9) == 20
+
     @pytest.mark.parametrize("max_delay_ns", [31, 40, 53])
     def test_gated_bounds_keep_the_delay_only_bound(self, max_delay_ns):
         max_delay = max_delay_ns * 1e-9
         d2_max = mirror._max_kept_d2(max_delay, 1e-9, max_delay_ns)
-        assert int(np.sqrt(d2_max) / SPEED_OF_LIGHT / 1e-9) == max_delay_ns - 1
+        assert mirror._delay_bin(d2_max, 1e-9) == max_delay_ns - 1
         assert not np.sqrt(np.nextafter(d2_max, np.inf)) / SPEED_OF_LIGHT < max_delay
 
 
@@ -426,9 +455,8 @@ class TestCountTableAgainstLattice:
         for batch in out:
             tx, rx = _sample_uniform(rng, self.PER_BATCH, dims)
             d2 = ((image_positions(lattice, tx) - rx[:, None, :]) ** 2).sum(axis=-1)
-            tau = np.sqrt(d2) / SPEED_OF_LIGHT
-            keep = tau < max_delay
-            bins = (tau[keep] / self.BIN).astype(np.int64)
+            keep = np.sqrt(d2) / SPEED_OF_LIGHT < max_delay
+            bins = mirror._delay_bin(d2[keep], self.BIN)
             counts = np.broadcast_to(lattice.bounces, d2.shape)[keep]
             flat = np.bincount(bins * n_k + counts, 1.0 / d2[keep], minlength=n_bins * n_k)
             batch[:] = flat.reshape(n_bins, n_k)
