@@ -14,6 +14,7 @@ import pytest
 
 import roompol
 from roompol import (
+    SPEED_OF_LIGHT,
     DistanceCondition,
     ObservationParams,
     PdpTrace,
@@ -190,6 +191,28 @@ class TestSimulate:
             tags = ("report", "co", "cross")
             runs.append([(tmp_path / f"w{workers}_{tag}.csv").read_bytes() for tag in tags])
         assert runs[0] == runs[1]
+
+    def test_uniform_placement_ignores_link_but_the_model_columns_apply_it(self, tmp_path):
+        # [link] does not place the antennas under uniform placement, so the
+        # traces keep their bytes; only with it are the model columns gated
+        # at d/c (6.0 ns at 1.8 m)
+        gate_ns = 1.8 / SPEED_OF_LIGHT * 1e9
+        traces, gated = {}, {}
+        for tag, link in (("plain", ""), ("link", "link: {distance_m: 1.8, los: false}\n")):
+            cfg = write_config(tmp_path, self.SIM + link, name=f"{tag}.yaml")
+            prefix = tmp_path / tag
+            assert main([
+                "simulate", "--config", cfg, "--out", f"{prefix}_report.csv",
+                "--trace-prefix", str(prefix),
+            ]) == 0
+            traces[tag] = [(tmp_path / f"{tag}_{ch}.csv").read_bytes() for ch in ("co", "cross")]
+            header, cells = read_table(f"{prefix}_report.csv")
+            col = header.index("co_model_db")
+            # (row before d/c, co_model_db empty) pairs that occur
+            gated[tag] = {(float(row[0]) < gate_ns, row[col] == "") for row in cells}
+        assert traces["plain"] == traces["link"]
+        assert gated["plain"] == {(True, False), (False, False)}
+        assert gated["link"] == {(True, True), (False, False)}
 
     def test_zero_workers_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.SIM)

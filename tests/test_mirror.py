@@ -352,9 +352,11 @@ class TestTiling:
     def test_chunk_memory_is_bounded_as_max_delay_grows(self, delay_ns):
         # The kept lattice grows as max_delay**3 (1041 cells at 53 ns, 2685 at
         # 80 ns); an untiled chunk of 2048 realizations holds several float64
-        # arrays of 2048 x n_cells, 68 MB at 53 ns. A tiled chunk peaks near
-        # 2 MB; forming x + y for the whole chunk at once peaks at 4.8 MB at
-        # 53 ns and 8.1 MB at 80 ns.
+        # arrays of 2048 x n_cells, 68 MB at 53 ns. A tiled chunk that forms
+        # its per-axis tables one block of tiles at a time peaks at 1.1 MB at
+        # 53 ns and 1.4 MB at 80 ns, 1.8 MB in a process's first call at
+        # 53 ns. Chunk-wide per-axis tables peak at 1.8 and 2.2 MB; forming
+        # x + y for the whole chunk at once at 4.8 and 8.1 MB.
         cfg = SimConfig(
             n_realizations=_CHUNK, bin_width=1e-9, max_delay=delay_ns * 1e-9, rng_seed=1
         )
