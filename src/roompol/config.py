@@ -104,7 +104,7 @@ _SCHEMA = {
                    "max_delay_ns": "number!", "placement": "string"},
     "fit": {"g0": "number", "gamma0": "number", "xi0": "number", "noise0": "number",
             "bounds_g": "pair", "bounds_gamma": "pair", "bounds_xi": "pair",
-            "window_ns": "pair", "method": "string", "max_iterations": "integer"},
+            "window_ns": "pair", "max_iterations": "integer"},
     "cpr": {"distances_m": "list!"},
 }
 _REQUIRED_SECTIONS = ("room", "carrier")
@@ -203,7 +203,6 @@ def _parse_fit(data: dict) -> dict:
             for key, default in zip(("bounds_g", "bounds_gamma", "bounds_xi"), DEFAULT_BOUNDS)
         ),
         fit_window=None if window is None else (window[0] * 1e-9, window[1] * 1e-9),
-        method=data.get("method"),
         max_iterations=data.get("max_iterations"),
     )
     return {key: value for key, value in kwargs.items() if value is not None}

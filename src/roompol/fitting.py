@@ -7,9 +7,9 @@ measured co- and cross-polarized average PDPs jointly, in dB. The search
 runs in an unconstrained space: g, gamma, xi through a scaled logit over
 their bound intervals and the noise power through a log transform.
 
-The least-squares search is `_trf`, a numpy port of scipy's trust-region
-least squares. Only `method="simplex"` imports scipy, when it runs, so
-importing this module or running a default fit loads no scipy module.
+The least-squares search, the CLI's only one, is `_trf`, a numpy port of
+scipy's trust-region least squares; importing this module or running it
+loads no scipy module. Only a library `method="simplex"` fit imports scipy.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class FitProblem:
 
     `max_iterations` caps the trial points of least squares (its Jacobian
     evaluations not counted) and is `maxiter` for each of simplex's two
-    Nelder-Mead runs.
+    Nelder-Mead runs. `method="simplex"` imports `scipy.optimize` when it
+    runs; roompol does not install scipy, so a caller that picks it must.
     """
 
     room: RoomGeometry
@@ -111,9 +112,12 @@ class FitProblem:
         # gated traces may hold -inf (zero power) outside the window, before
         # the direct delay; `PdpTrace` has rejected NaN and +inf already
         for name, tr in (("co", self.co_trace), ("cross", self.cross_trace)):
-            if np.any(tr.values[self.window_mask] == -np.inf):
+            zero = self.window_mask & (tr.values == -np.inf)
+            if zero.any():
+                first = grid[zero.argmax()]
                 raise ValueError(
-                    f"{name} trace contains non-finite dB values inside the fit window"
+                    f"{name} trace contains non-finite dB values inside the fit window, the "
+                    f"first at {first * 1e9:.6g} ns (zero power); the window must start after it"
                 )
 
 

@@ -66,9 +66,9 @@ def read_trace_csv(path: str) -> PdpTrace:
     Any other non-numeric or non-finite field (`nan`, `inf`, `-inf`) is
     rejected with the row named: the empty field is the one spelling of -inf.
     The header must be `delay_ns,power_db`, and a `# scale:` comment other
-    than `db` is rejected with its row named.
+    than `db` is rejected with its row named. A leading UTF-8 BOM is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read().splitlines()
     header = None
     delays: list[float] = []

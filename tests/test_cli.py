@@ -419,16 +419,21 @@ class TestFit:
         assert code == 4
 
     def test_unknown_method_is_a_validation_error(self, tmp_path, capsys):
-        # `FitProblem` checks [fit]; eval, cpr and simulate ignore the section
+        # the CLI fits by least squares only, so [fit] has no method key to
+        # choose one, a valid library method included; every command refuses it
         config, paths = self.make_inputs(tmp_path)
-        text = Path(config).read_text().replace("noise0: 1.0e-10}", "noise0: 1.0e-10, method: powell}")
-        config = write_config(tmp_path, text, name="powell.yaml")
-        code = main(["fit", "--config", config, "--co", paths["co"],
-                     "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "error: method must be one of" in capsys.readouterr().err
-        config = write_config(tmp_path, BASE + "fit: {method: powell}\n", name="eval.yaml")
-        assert main(["eval", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
+        for method in ("simplex", "least_squares"):
+            text = Path(config).read_text().replace("noise0: 1.0e-10}",
+                                                    f"noise0: 1.0e-10, method: {method}}}")
+            method_config = write_config(tmp_path, text, name=f"{method}.yaml")
+            code = main(["fit", "--config", method_config, "--co", paths["co"],
+                         "--cross", paths["cross"], "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert capsys.readouterr().err == "error: unknown config key 'fit.method'\n"
+        config = write_config(tmp_path, BASE + "fit: {method: simplex}\n", name="eval.yaml")
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "fit.method" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_fit_reaching_an_upper_bound_exits_cleanly(self, tmp_path, capsys):
         config, paths = self.make_inputs(tmp_path)
@@ -743,6 +748,18 @@ class TestTraceCsv:
         back = read_trace_csv(str(path))
         assert back.values[1] == -math.inf
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheets and some editors save UTF-8 text with a leading byte-order mark
+        trace = PdpTrace(delays=np.arange(4) * 0.5e-9,
+                         values=np.array([-math.inf, -12.5, 3.0e-7, -31.0]), scale="db")
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, back = read_trace_csv(str(path)), read_trace_csv(str(bom))
+        assert np.array_equal(back.values, trace.values)
+        assert np.array_equal(back.delays, plain.delays)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_writer_rejects_power_the_reader_cannot_read_back(self, tmp_path, bad):
         # the empty field reads back as -inf, so +inf and NaN have no spelling;
@@ -900,16 +917,19 @@ seen["eval_cpr_fit_numpy_random"] = loaded("numpy.random")
 assert run("simulate", "--workers", "1") == 0
 seen["simulate"] = loaded("scipy")
 seen["process_pool"] = loaded("concurrent.futures.process")
-with open(config) as fh:
-    text = fh.read()
-with open(config, "w") as fh:
-    fh.write(text.replace("fit: {", "fit: {method: simplex, "))
-assert run(*fit) == 0
+# the CLI has no simplex fit; a library caller's simplex fit imports scipy.optimize
+from roompol.io import read_trace_csv
+problem = roompol.FitProblem(
+    roompol.RoomGeometry(3.0, 4.0, 3.0), 0.005, roompol.DistanceCondition(1.8),
+    roompol.PulseShape("boxcar", 0.5e9), read_trace_csv(co), read_trace_csv(cross),
+    method="simplex", max_iterations=50,
+)
+roompol.fit(problem)
 seen["simplex_loads_optimize"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))
 """
 
-    def test_only_fit_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         config, paths = TestFit().make_inputs(tmp_path)
         with open(config, "a") as fh:
             fh.write(

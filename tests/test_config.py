@@ -152,8 +152,8 @@ def test_fit_section_defaults_and_window(tmp_path):
     assert cfg.fit["initial_guess"][3] is None
     assert cfg.fit["fit_window"] == (pytest.approx(5e-9), pytest.approx(120e-9))
     assert cfg.fit["max_iterations"] == 500
-    # an absent key is left out, so `FitProblem` applies its own default
-    assert "method" not in cfg.fit
+    # [fit] has no method key: a configured fit is least squares, `FitProblem`'s default
+    assert sorted(cfg.fit) == ["bounds", "fit_window", "initial_guess", "max_iterations"]
     # a 0.25 ns grid resolves the 1 GHz pulse, which `FitProblem` checks when it is built
     trace = PdpTrace(np.arange(0.0, 200e-9, 0.25e-9), np.full(800, -50.0), "db")
     problem = FitProblem(cfg.room, cfg.wavelength, cfg.cond, cfg.pulse, trace, trace, **cfg.fit)
@@ -210,7 +210,7 @@ FULL = {
                    "max_delay_ns": 20.0, "placement": "fixed"},
     "fit": {"g0": 0.45, "gamma0": 0.05, "xi0": 0.1, "noise0": 1.0e-10,
             "bounds_g": [0.1, 0.9], "bounds_gamma": [0.01, 0.5], "bounds_xi": [0.01, 0.5],
-            "window_ns": [5.0, 50.0], "method": "simplex", "max_iterations": 500},
+            "window_ns": [5.0, 50.0], "max_iterations": 500},
     "cpr": {"distances_m": [0.5, 1.8]},
 }
 ALTERNATIVES = {
@@ -223,7 +223,7 @@ EVERY_KEY = [(section, key) for section, data in FULL.items() for key in data] +
 
 def test_every_key_lists_the_whole_schema():
     assert sorted(EVERY_KEY) == sorted((s, k) for s, keys in _SCHEMA.items() for k in keys)
-    assert len(EVERY_KEY) == 32
+    assert len(EVERY_KEY) == 31
 
 
 def full_document(section=None):
@@ -240,7 +240,6 @@ def test_every_key_is_accepted(tmp_path, section):
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
     assert cfg.fit["bounds"] == ((0.1, 0.9), (0.01, 0.5), (0.01, 0.5))
     assert cfg.fit["initial_guess"] == (0.45, 0.05, 0.1, 1e-10)
-    assert cfg.fit["method"] == "simplex"
 
 
 # the keys `_SCHEMA` marks required, its kind ending in "!", and the others
@@ -255,6 +254,7 @@ def test_required_keys():
         "room.ly", "room.lz", "simulation.bin_width_ns", "simulation.max_delay_ns",
         "simulation.realizations",
     ]
+    assert len(OPTIONAL) == 17
 
 
 @pytest.mark.parametrize("section, key", REQUIRED, ids=[f"{s}.{k}" for s, k in REQUIRED])
@@ -337,6 +337,8 @@ INVALID = [
      r"\[carrier\] wavelength 1e\+200 squared must be > 0 and finite"),
     ("frequency-negative", BASE.replace("wavelength_m: 0.005", "frequency_hz: -6.0e10"),
      r"unknown config key 'carrier\.frequency_hz'"),
+    # the CLI fits by least squares only; `FitProblem.method` is the library's
+    ("fit-method", BASE + "fit: {method: simplex}\n", r"^unknown config key 'fit\.method'$"),
     ("step-zero", BASE.replace("step_ns: 0.1", "step_ns: 0.0"), r"grid\.step_ns' must be > 0"),
     ("step-negative", BASE.replace("step_ns: 0.1", "step_ns: -0.1"),
      r"grid\.step_ns' must be > 0"),

@@ -341,6 +341,17 @@ class TestGatedTraces:
         with pytest.raises(ValueError, match="non-finite"):
             FitProblem(ROOM, LAM, COND, PULSE, gated_co, gated_cross)
 
+    def test_zero_power_inside_the_window_names_its_first_delay(self):
+        co, cross = synth_traces(0.4, 0.04, 0.02, 1e-11)
+        gated = [PdpTrace(tr.delays, np.where(tr.delays < 5e-9, -np.inf, tr.values), "db")
+                 for tr in (co, cross)]
+        tail = r" \(zero power\); the window must start after it$"
+        with pytest.raises(ValueError, match=r"^co trace contains non-finite dB values inside "
+                                             r"the fit window, the first at 0 ns" + tail):
+            FitProblem(ROOM, LAM, COND, PULSE, gated[0], cross)
+        with pytest.raises(ValueError, match=r"^cross trace .* window, the first at 2 ns" + tail):
+            FitProblem(ROOM, LAM, COND, PULSE, co, gated[1], fit_window=(2e-9, 299e-9))
+
 
 class TestTransforms:
     def test_round_trip_identity(self):
