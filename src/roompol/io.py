@@ -31,7 +31,7 @@ def format_db(value: float) -> str:
 
 
 def write_trace_csv(path: str, trace: PdpTrace) -> None:
-    """Write a dB PDP trace at full precision so a read round-trips exactly.
+    """Write a dB PDP trace at full precision; values read back exactly, delays to 1 ulp.
 
     A linear trace raises `ValueError`: trace files hold dB only. -inf is
     written as the empty field. `PdpTrace` checks the values again, as they

@@ -50,11 +50,11 @@ from .model import (
     PolGain,
     RoomGeometry,
     WallMaterial,
+    _count_powers,
     _mu_products,
     _require_choice,
     _require_int,
     _require_positive,
-    _rho_power,
     _whole_steps,
     bounce_split,
     channel_pair,
@@ -307,9 +307,10 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max) -> np.ndarray:
     only a transmitter exactly on the receiver has d2 == 0, and it is dropped
     among the kept arrivals before any division. Only the survivors are
     binned, by `_delay_bin` into `cfg.n_bins` bins, and their power is formed
-    in place. `g_pow` (g^B) and `mix` (co + 1j * cross) are formed here from
-    `lattice.bounces` and `params`, one entry per cell; tiled to `rows` rows,
-    each is one gather by flat index, and one complex sum per bin holds both.
+    in place. `g_pow` (g^B) and `mix` (co + 1j * cross) are formed here per
+    bounce count from `params`, count 0's mix zeroed for fixed NLOS, gathered
+    at `lattice.bounces` and tiled to `rows` rows; each is one gather by flat
+    index, and one complex sum per bin holds both.
     """
     rng = np.random.default_rng(seed_seq)
     dims = np.array([params.room.lx, params.room.ly, params.room.lz])
@@ -318,19 +319,17 @@ def _run_chunk(seed_seq, n, *, cfg, lattice, params, d2_max) -> np.ndarray:
     else:
         tx, rx = _sample_fixed(rng, n, dims, cfg.distance)
     rows = max(1, _TILE // lattice.iz.size)
-    material = params.material
-    g_pow = np.tile(material.g ** lattice.bounces, rows)
+    g_pow, rho_pow = _count_powers(params.material, lattice.bounces.max())
     # A channel's weight is half its two split parts; g^B stays in g_pow.
-    rho_pow = _rho_power(material.gamma, lattice.bounces)
     splits = (bounce_split(*_mu_products(q), 1.0, rho_pow) for q in channel_pair(params))
     mix_co, mix_cross = (0.5 * (co + cross) for co, cross in splits)
     mix = mix_co + 1j * mix_cross
     if not cfg.los:
-        # The transmitter's cell, the one with zero bounces, weighs nothing.
+        # Only the transmitter's own cell has zero bounces: it weighs nothing.
         # Its arrival adds +0.0 to a bin that holds a sum of terms >= +0.0,
         # so every bin keeps its bits.
-        mix[lattice.bounces == 0] = 0.0
-    mix = np.tile(mix, rows)
+        mix[0] = 0.0
+    g_pow, mix = (np.tile(w[lattice.bounces], rows) for w in (g_pow, mix))
 
     col_x, col_y, col_size = lattice.columns
     block = rows * max(1, _BLOCK // rows)

@@ -183,9 +183,10 @@ def bounce_matrix(material: WallMaterial) -> np.ndarray:
     return (g / (1.0 + gamma)) * np.array([[1.0, gamma], [gamma, 1.0]])
 
 
-def _rho_power(gamma: float, n):
-    """rho^n for rho = (1-gamma)/(1+gamma), the unit-gain bounce matrix's second eigenvalue."""
-    return ((1.0 - gamma) / (1.0 + gamma)) ** n
+def _count_powers(material: WallMaterial, top: int):
+    """g^k and rho^k, rho = (1-gamma)/(1+gamma), for bounce counts k = 0..top."""
+    k = np.arange(top + 1)
+    return material.g**k, ((1.0 - material.gamma) / (1.0 + material.gamma)) ** k
 
 
 def bounce_split(k_co, k_cross, decay, mix):
@@ -392,8 +393,7 @@ def pds_components_exact(tau, p: PdsParams):
     """
     tau_arr = _delays(tau)
     table = bounce_count_table(np.maximum(tau_arr, 0.0), p.room)
-    k = np.arange(table.shape[1])
-    split = bounce_split(*_mu_products(p), p.material.g**k, _rho_power(p.material.gamma, k))
+    split = bounce_split(*_mu_products(p), *_count_powers(p.material, table.shape[1] - 1))
     return _gated(tau_arr, *(_amplitude(p) * (table @ w).reshape(tau_arr.shape) for w in split))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import re
@@ -25,7 +26,7 @@ from roompol import (
 )
 from roompol import mirror
 from roompol.mirror import _CHUNK, _axis_images, _sample_fixed, _sample_uniform
-from roompol.model import SPEED_OF_LIGHT
+from roompol.model import SPEED_OF_LIGHT, _count_powers
 
 ROOM = RoomGeometry(3.0, 4.0, 3.0)
 MAT = WallMaterial(g=0.4, gamma=0.04)
@@ -299,6 +300,23 @@ class TestReachPruning:
         assert np.array_equal(co.values, ref_co)
         assert np.array_equal(cross.values, ref_cross)
 
+    def test_count_tables_give_each_cells_powers_bit_for_bit(self):
+        # The chunk gathers g^k and rho^k, formed once per bounce count, at each
+        # cell's count; full_cube_pdp raises g and rho to each cell's count. The
+        # full-cube tests above run at small reach only; these lattices reach
+        # 150 ns and 41 bounces. The fixed-NLOS chunk zeroes count 0's mix,
+        # which must weigh the transmitter's own cell alone.
+        rooms = [(3.0, 4.0, 3.0), (2.0, 2.0, 2.0), (10.0, 10.0, 3.0), (20.0, 3.0, 3.0)]
+        for dims, delay_ns in itertools.product(rooms, (31, 40, 53, 150)):
+            reach = SPEED_OF_LIGHT * delay_ns * 1e-9
+            bounces = enumerate_images(RoomGeometry(*dims), reach).bounces
+            assert np.count_nonzero(bounces == 0) == 1, (dims, delay_ns)
+            for g, gamma in zip((0.05, 0.4, 0.7, 0.9, 0.999), (0.0, 1e-6, 0.04, 0.3, 0.9)):
+                g_k, rho_k = _count_powers(WallMaterial(g=g, gamma=gamma), bounces.max())
+                rho = (1.0 - gamma) / (1.0 + gamma)
+                assert np.array_equal(g_k[bounces], g**bounces), (dims, delay_ns, g)
+                assert np.array_equal(rho_k[bounces], rho**bounces), (dims, delay_ns, gamma)
+
 
 class TestTiling:
     @pytest.mark.parametrize(
@@ -369,8 +387,9 @@ class TestTiling:
         assert peak < 4e6
 
     def test_each_task_carries_the_lattice_and_the_model(self, monkeypatch):
-        # The chunk forms g^B and the mix from lattice.bounces and the model's
-        # parameters, so the runner a pool task pickles binds the run's inputs
+        # The chunk forms g^k and the mix per bounce count from the model's
+        # parameters (count 0's mix zeroed for fixed NLOS) and gathers them at
+        # lattice.bounces, so the runner a pool task pickles binds the run's inputs
         # only: 21 KiB at 53 ns. Per-cell weights and every cell's x and y
         # entry would add about 40 KiB more.
         runners = []
