@@ -158,8 +158,10 @@ class DistanceCondition:
     los: bool = False
 
     def __post_init__(self) -> None:
-        # direct_path and cpr_distance divide by d**2
+        # direct_path and cpr_distance divide by d**2, in Python floats: their
+        # overflow is a silent inf, where a numpy scalar's warns
         _require_length("distance", self.distance)
+        object.__setattr__(self, "distance", float(self.distance))
 
 
 @dataclass(frozen=True)
@@ -424,7 +426,8 @@ def co_cross_ratio(tau, p: PdsParams):
 
     Requires tau > 0. Diverges for small delays and approaches the antenna
     prefactor k_co/k_cross at large delays. Returns +inf whenever the cross
-    product of the mean gains is zero or gamma = 0 (no cross-polar power).
+    product of the mean gains is zero or gamma = 0 (no cross-polar power),
+    and where the ratio passes the largest double (gamma below about 1e-308).
     """
     tau_arr = _delays(tau)
     if np.any(tau_arr <= 0):
@@ -434,7 +437,8 @@ def co_cross_ratio(tau, p: PdsParams):
     if k_cross == 0.0 or not math.isfinite(t_mix):
         out = np.full_like(tau_arr, math.inf)
     else:
-        out = (k_co / k_cross) / np.tanh(tau_arr / (2.0 * t_mix))
+        with np.errstate(over="ignore", divide="ignore"):
+            out = (k_co / k_cross) / np.tanh(tau_arr / (2.0 * t_mix))
     return _like(tau_arr, out)
 
 

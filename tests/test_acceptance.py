@@ -8,33 +8,23 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from roompol import (
     SPEED_OF_LIGHT,
     DistanceCondition,
-    FitProblem,
-    ObservationParams,
-    PdsParams,
     PolGain,
-    PulseShape,
     RoomGeometry,
     SimConfig,
     WallMaterial,
-    channel_pair,
     cpr,
     cpr_distance,
-    db_linear_convert,
-    direct_path,
     fit,
     mixing_constant,
     mixing_time,
-    observed_pds,
     pds,
     pds_asymptote,
     pds_components,
     pds_components_exact,
-    pds_conditional,
     predict,
     reverberation_time,
     simulate_pdp,
@@ -42,18 +32,15 @@ from roompol import (
 )
 from roompol.cli import main
 
-ROOM = RoomGeometry(3.0, 4.0, 3.0)
-LAM = 5e-3
+from _support import (
+    BASE, GRID, LAM, MAT, PULSE, ROOM, integrate_cpr, integrate_cpr_distance, make_params,
+    split_params, synth_problem, write_config,
+)
 
 
 def report(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
     return ok
-
-
-def split_params(xi, material, room=ROOM):
-    mu = PolGain.from_split(xi)
-    return PdsParams(room=room, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -81,9 +68,7 @@ def test_criterion_1_oracle_equivalence():
         co_sim, cross_sim = simulate_pdp(ROOM, material, mu, mu, LAM, cfg)
         elapsed = time.monotonic() - start
         p_co = split_params(0.0, material)
-        p_cross = PdsParams(
-            room=ROOM, material=material, mu_t=mu, mu_r=mu.swapped(), wavelength=LAM
-        )
+        p_cross = make_params(mu, mu.swapped(), material=material)
         window = (co_sim.delays >= 2e-9) & (co_sim.delays <= 5.0 * t_rev)
         delays = co_sim.delays[window]
         errors = []
@@ -133,30 +118,9 @@ def test_criterion_2_reported_fit_consistency():
     assert ok
 
 
-def _synthetic_problem(g, gamma, xi, noise, db_noise_std=0.0, seed=0):
-    cond = DistanceCondition(distance=1.8, los=False)
-    pulse = PulseShape("boxcar", 0.5e9)
-    grid = np.arange(0.0, 300e-9, 0.5e-9)
-    material = WallMaterial(g=g, gamma=gamma)
-    mu = PolGain.from_split(xi)
-    obs = ObservationParams(pulse=pulse, noise_power=noise)
-    rng = np.random.default_rng(seed)
-    traces = []
-    co = PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
-    for p in channel_pair(co):
-        trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
-        trace.values = trace.values + rng.normal(0.0, db_noise_std, grid.size)
-        traces.append(trace)
-    return FitProblem(
-        room=ROOM, wavelength=LAM, cond=cond, pulse=pulse,
-        co_trace=traces[0], cross_trace=traces[1],
-        initial_guess=(0.5, 0.1, 0.05, 1e-10),
-    )
-
-
 def test_criterion_3_synthetic_recovery():
     truth = (0.4, 0.04, 0.02, 1e-11)
-    clean = fit(_synthetic_problem(*truth))
+    clean = fit(synth_problem(*truth))
     clean_ok = (
         abs(clean.g - truth[0]) / truth[0] < 0.01
         and abs(clean.gamma - truth[1]) / truth[1] < 0.01
@@ -165,7 +129,7 @@ def test_criterion_3_synthetic_recovery():
 
     g_err, gamma_err = [], []
     for seed in range(10):
-        noisy = fit(_synthetic_problem(*truth, db_noise_std=0.5, seed=seed))
+        noisy = fit(synth_problem(*truth, db_noise_std=0.5, seed=seed))
         g_err.append(abs(noisy.g - truth[0]) / truth[0])
         gamma_err.append(abs(noisy.gamma - truth[1]) / truth[1])
     noisy_ok = np.median(g_err) < 0.05 and np.median(gamma_err) < 0.05
@@ -186,34 +150,20 @@ def test_criterion_4_cpr_against_quadrature():
             material = WallMaterial(g=g, gamma=gamma)
             for xi in (0.0, 0.05, 0.25):
                 p = split_params(xi, material)
-                t_rev = reverberation_time(ROOM, material)
-                t_mix = mixing_time(ROOM, material)
-                step = min(t_rev, t_mix) / 100.0
-                tau = np.arange(0.0, 60.0 * t_rev, step)
-                co, cross = pds_components(tau, p)
-                denom = trapezoid(cross, tau)
                 closed = cpr(p)
-                if denom == 0.0:
+                oracle = integrate_cpr(p)
+                if math.isinf(oracle):  # no cross power to integrate
                     assert math.isinf(closed)
                     continue
-                rel = abs(closed - trapezoid(co, tau) / denom) / closed
+                rel = abs(closed - oracle) / closed
                 worst_plain = max(worst_plain, rel)
 
     worst_cond = 0.0
-    material = WallMaterial(g=0.4, gamma=0.04)
-    p = split_params(0.1, material)
-    t_rev = reverberation_time(ROOM, material)
-    t_mix = mixing_time(ROOM, material)
+    p = split_params(0.1)
     for d in (0.5, 1.35, 1.8, 3.3):
         for los in (False, True):
             cond = DistanceCondition(distance=d, los=los)
-            t0 = d / SPEED_OF_LIGHT
-            tau = t0 + np.arange(0.0, 30.0 * t_rev, min(t_rev, t_mix) / 200.0)
-            gate = pds_conditional(tau, p, cond) > 0
-            spike = direct_path(p, cond)
-            co, cross = pds_components(tau, p)
-            num = trapezoid(co * gate, tau) + (spike.weight if spike else 0.0)
-            oracle = num / trapezoid(cross * gate, tau)
+            oracle = integrate_cpr_distance(p, cond)
             rel = abs(cpr_distance(p, cond) - oracle) / oracle
             worst_cond = max(worst_cond, rel)
 
@@ -251,9 +201,8 @@ def test_criterion_5_limit_suite():
     collapse_ok = np.max(gap) <= 1e-6
 
     mu_a, mu_b = PolGain(0.7, 0.2), PolGain(0.1, 0.8)
-    material = WallMaterial(g=0.4, gamma=0.04)
-    fwd = PdsParams(room=ROOM, material=material, mu_t=mu_a, mu_r=mu_b, wavelength=LAM)
-    rev = PdsParams(room=ROOM, material=material, mu_t=mu_b, mu_r=mu_a, wavelength=LAM)
+    fwd = make_params(mu_a, mu_b)
+    rev = make_params(mu_b, mu_a)
     reciprocity_ok = (
         np.array_equal(pds(tau, fwd), pds(tau, rev)) and cpr(fwd) == cpr(rev)
     )
@@ -268,9 +217,8 @@ def test_criterion_5_limit_suite():
 
 
 def test_criterion_6_asymptote_convergence():
-    material = WallMaterial(g=0.4, gamma=0.04)
-    p = split_params(0.0, material)
-    t_mix = mixing_time(ROOM, material)
+    p = split_params(0.0)
+    t_mix = mixing_time(ROOM, MAT)
     tau = np.linspace(5.0 * t_mix, 20.0 * t_mix, 400)
     gap_db = 10.0 * np.log10(pds(tau, p) / pds_asymptote(tau, p))
     ok = report(
@@ -281,18 +229,17 @@ def test_criterion_6_asymptote_convergence():
 
 
 def test_criterion_7_los_prediction():
-    result = fit(_synthetic_problem(0.4, 0.04, 0.02, 1e-11))
-    problem = _synthetic_problem(0.4, 0.04, 0.02, 1e-11)
-    grid = problem.co_trace.delays
-    step = grid[1] - grid[0]
-    pulse_half = problem.pulse.half_support()
+    result = fit(synth_problem(0.4, 0.04, 0.02, 1e-11))
+    problem = synth_problem(0.4, 0.04, 0.02, 1e-11)
+    step = GRID[1] - GRID[0]
+    pulse_half = PULSE.half_support()
     bumps = {}
     clean = True
     for d in (1.35, 1.8):
         nlos_co, _ = predict(result, DistanceCondition(d, los=False), problem)
         los_co, _ = predict(result, DistanceCondition(d, los=True), problem)
         diff = los_co.values - nlos_co.values
-        near = np.abs(grid - d / SPEED_OF_LIGHT) <= pulse_half + step
+        near = np.abs(GRID - d / SPEED_OF_LIGHT) <= pulse_half + step
         clean &= bool(np.all(np.abs(diff[~near]) <= 1e-18)) and bool(np.max(diff) > 0)
         bumps[d] = float(np.sum(diff) * step)
     ratio = bumps[1.35] / bumps[1.8]
@@ -307,21 +254,15 @@ def test_criterion_7_los_prediction():
 
 
 def test_criterion_8_determinism(tmp_path):
-    config = tmp_path / "run.yaml"
-    config.write_text(
-        "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
-        "carrier: {wavelength_m: 0.005}\n"
-        "material: {g: 0.4, gamma: 0.04}\n"
-        "antennas: {xi: 0.0}\n"
-        "grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}\n"
+    config = write_config(tmp_path, BASE + (
         "simulation: {realizations: 2000, seed: 5, bin_width_ns: 1.0, max_delay_ns: 25.0}\n"
-    )
+    ))
     pairs = {}
     for tag, cmd in (("eval", "eval"), ("sim", "simulate")):
         outs = []
         for i in (1, 2):
             out = tmp_path / f"{tag}{i}.csv"
-            assert main([cmd, "--config", str(config), "--out", str(out)]) == 0
+            assert main([cmd, "--config", config, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         pairs[tag] = outs[0] == outs[1]
     ok = report(

@@ -13,37 +13,12 @@ import numpy.testing as npt
 import pytest
 
 import roompol
-from roompol import (
-    SPEED_OF_LIGHT,
-    DistanceCondition,
-    ObservationParams,
-    PdpTrace,
-    PdsParams,
-    PolGain,
-    PulseShape,
-    RoomGeometry,
-    WallMaterial,
-    channel_pair,
-    db_linear_convert,
-    observed_pds,
-)
+from roompol import SPEED_OF_LIGHT, PdpTrace, db_linear_convert
 from roompol import io
 from roompol.cli import build_parser, main
 from roompol.io import TraceFormatError, read_trace_csv, write_trace_csv
 
-BASE = """\
-room: {lx: 3.0, ly: 4.0, lz: 3.0}
-carrier: {wavelength_m: 0.005}
-material: {g: 0.4, gamma: 0.04}
-antennas: {xi: 0.0}
-grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}
-"""
-
-
-def write_config(tmp_path, text, name="run.yaml"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
+from _support import BASE, synth_traces, write_config
 
 
 def parse_stdout(captured):
@@ -224,17 +199,8 @@ class TestSimulate:
 
 class TestFit:
     def make_inputs(self, tmp_path, truth=(0.4, 0.04, 0.02, 1e-11)):
-        room = RoomGeometry(3.0, 4.0, 3.0)
-        material = WallMaterial(truth[0], truth[1])
-        mu = PolGain.from_split(truth[2])
-        cond = DistanceCondition(1.8, los=False)
-        pulse = PulseShape("boxcar", 0.5e9)
-        obs = ObservationParams(pulse=pulse, noise_power=truth[3])
-        grid = np.arange(0.0, 300e-9, 0.5e-9)
         paths = {}
-        co = PdsParams(room=room, material=material, mu_t=mu, mu_r=mu, wavelength=5e-3)
-        for tag, p in zip(("co", "cross"), channel_pair(co)):
-            trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
+        for tag, trace in zip(("co", "cross"), synth_traces(*truth)):
             path = tmp_path / f"meas_{tag}.csv"
             write_trace_csv(str(path), trace)
             paths[tag] = str(path)
@@ -639,8 +605,9 @@ class TestUnrepresentableMagnitudes:
     # power c lam^2 / V (k_co + k_cross) and the direct-path weight finite:
     # each command either runs or exits 2 naming the value, with no traceback
     # and no RuntimeWarning; a refused run prints nothing to stdout and writes
-    # no report. A small leakage gamma keeps a finite ratio, and
-    # one whose T_p overflows gives inf rather than NaN.
+    # no report. A small leakage gamma keeps a finite ratio, and one whose
+    # ratio passes the largest double (1e-310) or whose T_p overflows gives
+    # inf rather than NaN.
     CFG = (
         "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
         "carrier: {wavelength_m: 0.005}\n"
@@ -680,6 +647,7 @@ class TestUnrepresentableMagnitudes:
             ("simulate", ["wavelength_m: 1.0e-200"], 2, TINY_LAM),
             ("eval", ["gamma: 1.0e-17"], 0, "CPR(d=1.8 m, NLOS) = 2.3772e+17\n"),
             ("cpr", ["gamma: 1.0e-17"], 0, "wrote"),
+            ("cpr", ["gamma: 1.0e-310"], 0, "wrote"),
             ("eval", ["gamma: 5.0e-324"], 0, "CPR(d=1.8 m, NLOS) = inf\n"),
             ("eval", [HUGE_GAINS], 2, PEAK),
             ("cpr", [HUGE_GAINS], 2, PEAK),
@@ -694,7 +662,8 @@ class TestUnrepresentableMagnitudes:
              "simulate-fixed-side-huge", "eval-wavelength-huge", "cpr-wavelength-huge",
              "simulate-wavelength-huge", "eval-power-scale-overflow",
              "simulate-power-scale-overflow", "eval-wavelength-tiny", "simulate-wavelength-tiny",
-             "eval-gamma-tiny", "cpr-gamma-tiny", "eval-mixing-time-overflow",
+             "eval-gamma-tiny", "cpr-gamma-tiny", "cpr-gamma-subnormal",
+             "eval-mixing-time-overflow",
              "eval-peak-power-overflow", "cpr-peak-power-overflow",
              "simulate-peak-power-overflow", "cpr-wavelength-gains-overflow",
              "eval-direct-weight-overflow", "cpr-direct-weight-unused",

@@ -10,23 +10,11 @@ import yaml
 from roompol import DistanceCondition, FitProblem, PdpTrace, PulseShape, SimConfig, WallMaterial
 from roompol.config import _SCHEMA, ConfigError, load_run_config
 
-BASE = """\
-room: {lx: 3.0, ly: 4.0, lz: 3.0}
-carrier: {wavelength_m: 0.005}
-material: {g: 0.4, gamma: 0.04}
-antennas: {xi: 0.0}
-grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}
-"""
-
-
-def write(tmp_path, text, name="run.yaml"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
+from _support import BASE, write_config
 
 
 def test_loads_minimal_document(tmp_path):
-    cfg = load_run_config(write(tmp_path, BASE))
+    cfg = load_run_config(write_config(tmp_path, BASE))
     assert cfg.room.volume() == pytest.approx(36.0)
     assert cfg.wavelength == pytest.approx(0.005)
     assert cfg.material.g == 0.4
@@ -40,7 +28,7 @@ def test_frequency_is_an_unknown_carrier_key(tmp_path):
     # the carrier has one spelling, its wavelength
     text = BASE.replace("carrier: {wavelength_m: 0.005}", "carrier: {frequency_hz: 60.0e9}")
     with pytest.raises(ConfigError, match=r"unknown config key 'carrier\.frequency_hz'"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_rejects_both_carrier_keys(tmp_path):
@@ -49,33 +37,33 @@ def test_rejects_both_carrier_keys(tmp_path):
         "carrier: {wavelength_m: 0.005, frequency_hz: 60.0e9}",
     )
     with pytest.raises(ConfigError, match=r"unknown config key 'carrier\.frequency_hz'"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_rejects_unknown_section_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown config section \[walls\]"):
-        load_run_config(write(tmp_path, BASE + "walls: {g: 0.4}\n"))
+        load_run_config(write_config(tmp_path, BASE + "walls: {g: 0.4}\n"))
     with pytest.raises(ConfigError, match=r"unknown config section \[noise\]"):
-        load_run_config(write(tmp_path, BASE + "noise: {power: 1.0e-12}\n"))
+        load_run_config(write_config(tmp_path, BASE + "noise: {power: 1.0e-12}\n"))
     text = BASE.replace("room: {lx: 3.0, ly: 4.0, lz: 3.0}",
                         "room: {lx: 3.0, ly: 4.0, lz: 3.0, height: 2.0}")
     with pytest.raises(ConfigError, match="room.height"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_invariant_violations_name_the_section(tmp_path):
     text = BASE.replace("material: {g: 0.4, gamma: 0.04}", "material: {g: 1.2, gamma: 0.04}")
     with pytest.raises(ConfigError, match=r"\[material\].*gain g"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
     text = BASE.replace("room: {lx: 3.0, ly: 4.0, lz: 3.0}", "room: {lx: -3.0, ly: 4.0, lz: 3.0}")
     with pytest.raises(ConfigError, match=r"\[room\].*dimension"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_explicit_antenna_gains(tmp_path):
     text = BASE.replace("antennas: {xi: 0.0}",
                         "antennas: {mu_t: [0.9, 0.1], mu_r: [0.8, 0.2]}")
-    cfg = load_run_config(write(tmp_path, text))
+    cfg = load_run_config(write_config(tmp_path, text))
     assert cfg.mu_t.mu_phi == pytest.approx(0.1)
     assert cfg.mu_r.mu_theta == pytest.approx(0.8)
 
@@ -84,7 +72,7 @@ def test_rejects_mixed_antenna_styles(tmp_path):
     text = BASE.replace("antennas: {xi: 0.0}",
                         "antennas: {xi: 0.1, mu_t: [1.0, 0.0], mu_r: [1.0, 0.0]}")
     with pytest.raises(ConfigError, match="not both"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_link_and_simulation_sections(tmp_path):
@@ -93,7 +81,7 @@ def test_link_and_simulation_sections(tmp_path):
         "simulation: {realizations: 1000, seed: 7, bin_width_ns: 1.0,"
         " max_delay_ns: 20.0, placement: fixed}\n"
     )
-    cfg = load_run_config(write(tmp_path, text))
+    cfg = load_run_config(write_config(tmp_path, text))
     assert cfg.cond.los and cfg.cond.distance == pytest.approx(1.8)
     assert cfg.sim.placement == "fixed"
     assert cfg.sim.distance == pytest.approx(1.8)
@@ -106,7 +94,7 @@ def test_absent_optional_keys_keep_the_types_defaults(tmp_path):
         "pulse: {bandwidth_hz: 1.0e9}\n"
         "simulation: {realizations: 1000, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
     )
-    cfg = load_run_config(write(tmp_path, text))
+    cfg = load_run_config(write_config(tmp_path, text))
     assert cfg.material == WallMaterial(g=0.4)
     assert cfg.cond == DistanceCondition(distance=1.8)
     assert cfg.pulse == PulseShape(bandwidth=1e9)
@@ -121,7 +109,7 @@ def test_explicit_null_for_an_optional_key_is_rejected(tmp_path, section, key):
     doc = copy.deepcopy(FULL)
     doc[section][key] = None
     with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be .*, got None"):
-        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+        load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
 
 
 def test_fixed_placement_requires_link(tmp_path):
@@ -130,7 +118,7 @@ def test_fixed_placement_requires_link(tmp_path):
         " max_delay_ns: 20.0, placement: fixed}\n"
     )
     with pytest.raises(ConfigError, match=r"\[link\]"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_negative_seed_names_the_field(tmp_path):
@@ -138,7 +126,7 @@ def test_negative_seed_names_the_field(tmp_path):
         "simulation: {realizations: 1000, seed: -1, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
     )
     with pytest.raises(ConfigError, match=r"\[simulation\] rng_seed must be >= 0, got -1"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_fit_section_defaults_and_window(tmp_path):
@@ -146,7 +134,7 @@ def test_fit_section_defaults_and_window(tmp_path):
         "pulse: {kind: boxcar, bandwidth_hz: 1.0e9}\n"
         "fit: {g0: 0.45, window_ns: [5.0, 120.0], max_iterations: 500}\n"
     )
-    cfg = load_run_config(write(tmp_path, text))
+    cfg = load_run_config(write_config(tmp_path, text))
     assert cfg.pulse.bandwidth == pytest.approx(1e9)
     assert cfg.fit["initial_guess"][0] == pytest.approx(0.45)
     assert cfg.fit["initial_guess"][3] is None
@@ -164,36 +152,36 @@ def test_carrier_holds_a_wavelength_whose_power_scale_overflows(tmp_path):
     # 1e150 m passes the length rule; c lam^2 / 2V depends on the room and is
     # checked by `PdsParams`, which every command builds
     text = BASE.replace("wavelength_m: 0.005", "wavelength_m: 1.0e+150")
-    assert load_run_config(write(tmp_path, text)).wavelength == 1e150
+    assert load_run_config(write_config(tmp_path, text)).wavelength == 1e150
 
 
 def test_cpr_section_validation(tmp_path):
-    cfg = load_run_config(write(tmp_path, BASE + "cpr: {distances_m: [0.5, 1.8]}\n"))
+    cfg = load_run_config(write_config(tmp_path, BASE + "cpr: {distances_m: [0.5, 1.8]}\n"))
     assert cfg.cpr_distances == (0.5, 1.8)
     with pytest.raises(ConfigError, match="distances_m"):
-        load_run_config(write(tmp_path, BASE + "cpr: {distances_m: [0.5, -1.0]}\n"))
+        load_run_config(write_config(tmp_path, BASE + "cpr: {distances_m: [0.5, -1.0]}\n"))
 
 
 def test_merge_key_may_be_overridden(tmp_path):
     # only a key written twice is rejected; one a `<<` merge brings in is not
     text = BASE.replace("{lx: 3.0, ly: 4.0, lz: 3.0}", "{<<: {lx: 3.0, ly: 4.0, lz: 3.0}, lx: 5.0}")
-    assert load_run_config(write(tmp_path, text)).room.lx == 5.0
+    assert load_run_config(write_config(tmp_path, text)).room.lx == 5.0
 
 
 def test_type_errors_name_the_key(tmp_path):
     text = BASE.replace("material: {g: 0.4, gamma: 0.04}",
                         "material: {g: wood, gamma: 0.04}")
     with pytest.raises(ConfigError, match="material.g"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
     text = BASE + "simulation: {realizations: 10.5, bin_width_ns: 1.0, max_delay_ns: 20.0}\n"
     with pytest.raises(ConfigError, match="simulation.realizations"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_missing_required_section(tmp_path):
     text = BASE.replace("carrier: {wavelength_m: 0.005}\n", "")
     with pytest.raises(ConfigError, match=r"\[carrier\]"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 # Every key the config accepts, with a valid value. The antenna keys that
@@ -236,7 +224,7 @@ def full_document(section=None):
 
 @pytest.mark.parametrize("section", [None, *ALTERNATIVES])
 def test_every_key_is_accepted(tmp_path, section):
-    cfg = load_run_config(write(tmp_path, yaml.safe_dump(full_document(section))))
+    cfg = load_run_config(write_config(tmp_path, yaml.safe_dump(full_document(section))))
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
     assert cfg.fit["bounds"] == ((0.1, 0.9), (0.01, 0.5), (0.01, 0.5))
     assert cfg.fit["initial_guess"] == (0.45, 0.05, 0.1, 1e-10)
@@ -262,7 +250,7 @@ def test_missing_required_key_is_named(tmp_path, section, key):
     doc = full_document()
     del doc[section][key]
     with pytest.raises(ConfigError, match=rf"^missing config key '{section}\.{key}'$"):
-        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+        load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
 
 
 @pytest.mark.parametrize("section, key", OPTIONAL, ids=[f"{s}.{k}" for s, k in OPTIONAL])
@@ -270,7 +258,7 @@ def test_absent_optional_key_still_loads(tmp_path, section, key):
     # an antenna key is absent from whichever of FULL and ALTERNATIVES lacks it
     doc = full_document(section if key in FULL[section] else None)
     doc[section].pop(key, None)
-    cfg = load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+    cfg = load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
 
 
@@ -279,7 +267,7 @@ def test_every_kind_is_checked_before_any_value_is_built(tmp_path):
     text = BASE.replace("{g: 0.4, gamma: 0.04}", "{g: 1.2}") + "fit: {g0: wood}\n"
     message = r"^config key 'fit\.g0' must be a finite number, got 'wood'$"
     with pytest.raises(ConfigError, match=message):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 @pytest.mark.parametrize("section, key", EVERY_KEY, ids=[f"{s}.{k}" for s, k in EVERY_KEY])
@@ -287,7 +275,7 @@ def test_mapping_value_names_the_key(tmp_path, section, key):
     doc = full_document(section if key in ALTERNATIVES.get(section, {}) else None)
     doc[section][key] = {}
     with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be"):
-        load_run_config(write(tmp_path, yaml.safe_dump(doc)))
+        load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
 
 
 NON_FINITE = [
@@ -309,14 +297,14 @@ NON_FINITE = [
 def test_non_finite_numbers_name_the_key(tmp_path, old, new, key):
     text = BASE.replace(old, new) if old else BASE + new + "\n"
     with pytest.raises(ConfigError, match=rf"{key}.*finite"):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))
 
 
 def test_readme_quickstart_config_populates_every_section(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     quickstart = readme.split("## CLI quickstart", 1)[1]
     block = re.search(r"```yaml\n(.*?)```", quickstart, re.S).group(1)
-    cfg = load_run_config(write(tmp_path, block))
+    cfg = load_run_config(write_config(tmp_path, block))
     assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
 
 
@@ -367,13 +355,13 @@ INVALID = [
 def test_grid_cap_is_exact(tmp_path, monkeypatch):
     # BASE's grid holds 600 steps of 0.1 ns, 601 samples from 0 to 60 ns
     monkeypatch.setattr("roompol.model._MAX_CELLS", 600)
-    assert load_run_config(write(tmp_path, BASE)).grid.size == 601
+    assert load_run_config(write_config(tmp_path, BASE)).grid.size == 601
     monkeypatch.setattr("roompol.model._MAX_CELLS", 599)
     with pytest.raises(ConfigError, match=r"grid\.step_ns' must divide .* from 1 to 599, got 600"):
-        load_run_config(write(tmp_path, BASE))
+        load_run_config(write_config(tmp_path, BASE))
 
 
 @pytest.mark.parametrize("text, field", [c[1:] for c in INVALID], ids=[c[0] for c in INVALID])
 def test_invalid_documents_name_the_field(tmp_path, text, field):
     with pytest.raises(ConfigError, match=field):
-        load_run_config(write(tmp_path, text))
+        load_run_config(write_config(tmp_path, text))

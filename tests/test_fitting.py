@@ -10,10 +10,7 @@ from roompol import (
     FitProblem,
     ObservationParams,
     PdpTrace,
-    PdsParams,
-    PolGain,
     PulseShape,
-    RoomGeometry,
     WallMaterial,
     channel_pair,
     db_linear_convert,
@@ -26,41 +23,7 @@ from roompol import (
 from roompol import fitting
 from roompol.fitting import _from_internal, _to_internal
 
-ROOM = RoomGeometry(3.0, 4.0, 3.0)
-LAM = 5e-3
-PULSE = PulseShape(kind="boxcar", bandwidth=0.5e9)
-COND = DistanceCondition(distance=1.8, los=False)
-GRID = np.arange(0.0, 300e-9, 0.5e-9)
-
-
-def synth_traces(g, gamma, xi, noise, cond=COND, grid=GRID, db_noise_std=0.0, seed=0,
-                 pulse=PULSE):
-    """Generate observed co/cross channel traces in dB at the given truth."""
-    material = WallMaterial(g=g, gamma=gamma)
-    mu = PolGain.from_split(xi)
-    obs = ObservationParams(pulse=pulse, noise_power=noise)
-    traces = []
-    rng = np.random.default_rng(seed)
-    co = PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
-    for p in channel_pair(co):
-        trace = db_linear_convert(observed_pds(grid, p, cond, obs), "db")
-        if db_noise_std > 0:
-            trace = PdpTrace(
-                trace.delays, trace.values + rng.normal(0.0, db_noise_std, grid.size), "db"
-            )
-        traces.append(trace)
-    return traces
-
-
-def synth_problem(g=0.4, gamma=0.04, xi=0.02, noise=1e-11, cond=COND,
-                  db_noise_std=0.0, seed=0, pulse=PULSE, **problem_kw):
-    co, cross = synth_traces(g, gamma, xi, noise, cond=cond,
-                             db_noise_std=db_noise_std, seed=seed, pulse=pulse)
-    problem_kw.setdefault("initial_guess", (0.5, 0.1, 0.05, 1e-10))
-    return FitProblem(
-        room=ROOM, wavelength=LAM, cond=cond, pulse=pulse,
-        co_trace=co, cross_trace=cross, **problem_kw,
-    )
+from _support import COND, GRID, LAM, PULSE, ROOM, split_params, synth_problem, synth_traces
 
 
 class TestProblemValidation:
@@ -193,11 +156,7 @@ class TestResidual:
         doubled = residual((0.4, 0.04, 0.02, 2e-11), problem)
         delta = doubled - base
 
-        material = WallMaterial(0.4, 0.04)
-        mu = PolGain.from_split(0.02)
-        p, _ = channel_pair(
-            PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
-        )
+        p, _ = channel_pair(split_params(0.02))
         diffuse = observed_pds(
             GRID, p, COND, ObservationParams(pulse=PULSE, noise_power=0.0)
         ).values
@@ -526,10 +485,7 @@ class TestPredict:
         result = fit(problem)
         co, cross = predict(result, problem.cond, problem)
         material = WallMaterial(g=result.g, gamma=result.gamma)
-        mu = PolGain.from_split(result.xi)
-        p_co, _ = channel_pair(
-            PdsParams(room=ROOM, material=material, mu_t=mu, mu_r=mu, wavelength=LAM)
-        )
+        p_co, _ = channel_pair(split_params(result.xi, material=material))
         obs = ObservationParams(pulse=PULSE, noise_power=result.noise_power)
         direct_co = observed_pds(GRID, p_co, problem.cond, obs)
         npt.assert_array_equal(co.values, direct_co.values)

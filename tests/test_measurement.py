@@ -10,11 +10,8 @@ from roompol import (
     DistanceCondition,
     ObservationParams,
     PdpTrace,
-    PdsParams,
     PolGain,
     PulseShape,
-    RoomGeometry,
-    WallMaterial,
     db_linear_convert,
     direct_path,
     observed_pds,
@@ -24,13 +21,7 @@ from roompol import (
 from roompol import measurement
 from roompol.measurement import from_db, observed_values, sounding, to_db
 
-ROOM = RoomGeometry(3.0, 4.0, 3.0)
-MAT = WallMaterial(g=0.4, gamma=0.04)
-
-
-def make_params(xi=0.0):
-    mu = PolGain.from_split(xi)
-    return PdsParams(room=ROOM, material=MAT, mu_t=mu, mu_r=mu, wavelength=5e-3)
+from _support import COND, MAT, ROOM, make_params, split_params
 
 
 class TestPulse:
@@ -98,7 +89,7 @@ class TestObservedPds:
         grid = np.arange(0.0, 40e-9, 0.5e-9)
         obs = ObservationParams(pulse=PulseShape("boxcar", 4e9), noise_power=0.0)
         with pytest.raises(ValueError, match="too coarse"):
-            observed_pds(grid, make_params(), None, obs)
+            observed_pds(grid, split_params(0.0), None, obs)
 
     @pytest.fixture
     def no_density(self, monkeypatch):
@@ -113,7 +104,7 @@ class TestObservedPds:
     def test_rejects_grid_that_is_not_a_1d_array_of_two_samples(self, no_density, grid):
         obs = ObservationParams(pulse=PulseShape("boxcar", 1e9), noise_power=0.0)
         with pytest.raises(ValueError, match="one-dimensional with at least two samples"):
-            observed_pds(grid, make_params(), None, obs)
+            observed_pds(grid, split_params(0.0), None, obs)
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -130,7 +121,7 @@ class TestObservedPds:
         with pytest.raises(ValueError, match=message):
             PdpTrace(delays=grid, values=np.zeros_like(grid))
         with pytest.raises(ValueError, match=message):
-            observed_pds(grid, make_params(), None, obs)
+            observed_pds(grid, split_params(0.0), None, obs)
 
     def test_high_bandwidth_limit_tracks_the_density(self):
         # widest admissible pulse relative to the grid still spans only
@@ -138,10 +129,9 @@ class TestObservedPds:
         # density away from the onset step
         grid = np.arange(0.0, 40e-9, 0.05e-9)
         obs = ObservationParams(pulse=PulseShape("boxcar", 5e9), noise_power=0.0)
-        cond = DistanceCondition(distance=1.8, los=False)
-        p = make_params()
-        trace = observed_pds(grid, p, cond, obs)
-        diffuse = pds_conditional(grid, p, cond)
+        p = split_params(0.0)
+        trace = observed_pds(grid, p, COND, obs)
+        diffuse = pds_conditional(grid, p, COND)
         onset = 1.8 / SPEED_OF_LIGHT
         beyond = grid > onset + 0.5e-9
         npt.assert_allclose(trace.values[beyond], diffuse[beyond], rtol=2e-4)
@@ -151,12 +141,12 @@ class TestObservedPds:
     def test_flattens_onto_noise_floor(self):
         grid = np.arange(0.0, 350e-9, 0.25e-9)
         obs = ObservationParams(pulse=PulseShape("boxcar", 1e9), noise_power=1e-12)
-        trace = observed_pds(grid, make_params(), None, obs)
+        trace = observed_pds(grid, split_params(0.0), None, obs)
         tail_db = 10.0 * np.log10(trace.values[-10:])
         npt.assert_allclose(tail_db, -120.0, atol=0.1)
 
     def test_total_energy_is_preserved(self):
-        p = make_params(xi=0.1)
+        p = split_params(0.1)
         cond = DistanceCondition(distance=1.8, los=True)
         t_rev = reverberation_time(ROOM, MAT)
         step = 0.05e-9
@@ -174,16 +164,16 @@ class TestObservedPds:
         # doubling both mean gains scales the density, the spike and so the
         # smeared values by 4, a power of two, so exactly
         s = sounding(np.arange(0.0, 30e-9, 0.1e-9), PulseShape(kind, 2e9))
-        p = make_params(xi=0.1)
+        p = split_params(0.1)
         mu = PolGain(2.0 * p.mu_t.mu_theta, 2.0 * p.mu_t.mu_phi)
-        doubled = PdsParams(room=ROOM, material=MAT, mu_t=mu, mu_r=mu, wavelength=p.wavelength)
+        doubled = make_params(mu, mu)
         for cond in (None, DistanceCondition(distance=1.8, los=True)):
             npt.assert_array_equal(observed_values(s, doubled, cond, 0.0),
                                    4.0 * observed_values(s, p, cond, 0.0))
 
     @pytest.mark.parametrize("kind", ["boxcar", "gaussian"])
     def test_direct_bump_shifts_with_the_grid(self, kind):
-        p = make_params(xi=0.1)
+        p = split_params(0.1)
         step = 0.05e-9
         grid = np.arange(0.0, 40e-9, step)
         obs = ObservationParams(pulse=PulseShape(kind, 4e9), noise_power=0.0)

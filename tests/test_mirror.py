@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from roompol import (
     DistanceCondition,
     PdpTrace,
-    PdsParams,
     PolGain,
     RoomGeometry,
     SimConfig,
@@ -28,9 +27,8 @@ from roompol import mirror
 from roompol.mirror import _CHUNK, _axis_images, _sample_fixed, _sample_uniform
 from roompol.model import SPEED_OF_LIGHT, _count_powers
 
-ROOM = RoomGeometry(3.0, 4.0, 3.0)
-MAT = WallMaterial(g=0.4, gamma=0.04)
-LAM = 5e-3
+from _support import LAM, MAT, ROOM, make_params, split_params
+
 V_MU = PolGain(1.0, 0.0)
 
 
@@ -600,7 +598,7 @@ class TestSimConfig:
             placement="fixed", distance=distance,
         )
         co, _ = simulate_pdp(ROOM, MAT, V_MU, V_MU, LAM, cfg)
-        p = PdsParams(room=ROOM, material=MAT, mu_t=V_MU, mu_r=V_MU, wavelength=LAM)
+        p = make_params(V_MU, V_MU)
         spike = direct_path(p, DistanceCondition(distance, los=True))
         assert co.values[0] * cfg.bin_width == pytest.approx(spike.weight, rel=1e-6)
 
@@ -889,12 +887,10 @@ class TestSimulate:
         cfg = SimConfig(n_realizations=60000, bin_width=1e-9, max_delay=40e-9, rng_seed=9)
         mu = PolGain.from_split(0.0)
         co, cross = simulate_pdp(ROOM, MAT, mu, mu, LAM, cfg)
-        from roompol import PdsParams, pds
+        from roompol import pds
 
-        p_co = PdsParams(room=ROOM, material=MAT, mu_t=mu, mu_r=mu, wavelength=LAM)
-        p_cross = PdsParams(
-            room=ROOM, material=MAT, mu_t=mu, mu_r=mu.swapped(), wavelength=LAM
-        )
+        p_co = split_params(0.0)
+        p_cross = make_params(mu, mu.swapped())
         window = (co.delays >= 2e-9) & (co.delays <= 40e-9)
         err_co = 10 * np.log10(co.values[window] / pds(co.delays[window], p_co))
         err_cross = 10 * np.log10(cross.values[window] / pds(co.delays[window], p_cross))

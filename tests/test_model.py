@@ -37,47 +37,9 @@ from roompol import (
 )
 from roompol.model import _octant_directions, bounce_split
 
-ROOM = RoomGeometry(3.0, 4.0, 3.0)
-MAT = WallMaterial(g=0.4, gamma=0.04)
-LAM = 5e-3
-
-
-def make_params(mu_t, mu_r, material=MAT, room=ROOM):
-    return PdsParams(room=room, material=material, mu_t=mu_t, mu_r=mu_r, wavelength=LAM)
-
-
-def split_params(xi, material=MAT, room=ROOM):
-    mu = PolGain.from_split(xi)
-    return make_params(mu, mu, material=material, room=room)
-
-
-def integrate_cpr(p):
-    """Independent oracle: trapezoid quadrature of the co/cross densities."""
-    t_rev = reverberation_time(p.room, p.material)
-    t_mix = mixing_time(p.room, p.material)
-    step = min(t_rev, t_mix) / 100.0
-    tau = np.arange(0.0, 60.0 * t_rev, step)
-    co, cross = pds_components(tau, p)
-    denom = trapezoid(cross, tau)
-    if denom == 0.0:
-        return math.inf
-    return trapezoid(co, tau) / denom
-
-
-def integrate_cpr_distance(p, cond):
-    """Oracle for the conditioned CPR: quadrature beyond d/c plus the spike."""
-    t_rev = reverberation_time(p.room, p.material)
-    t_mix = mixing_time(p.room, p.material)
-    t0 = cond.distance / SPEED_OF_LIGHT
-    step = min(t_rev, t_mix) / 200.0
-    tau = t0 + np.arange(0.0, 30.0 * t_rev, step)
-    gate = pds_conditional(tau, p, cond) > 0
-    co_all, cross_all = pds_components(tau, p)
-    num = trapezoid(co_all * gate, tau)
-    spike = direct_path(p, cond)
-    if spike is not None:
-        num += spike.weight
-    return num / trapezoid(cross_all * gate, tau)
+from _support import (
+    LAM, MAT, ROOM, integrate_cpr, integrate_cpr_distance, make_params, split_params,
+)
 
 
 class TestTypes:
@@ -637,6 +599,14 @@ class TestCoCrossRatio:
         assert co_cross_ratio(1e-9, p_no_mix) == math.inf
         with pytest.raises(ValueError):
             co_cross_ratio(0.0, split_params(0.1))
+
+    def test_ratio_past_the_largest_double_is_infinite(self):
+        # gamma = 1e-310 leaves T_p finite (about 3.6e301 s), and coth(tau / 2 T_p)
+        # passes the largest double: +inf without an overflow warning, as cpr gives
+        p = split_params(0.1, material=WallMaterial(0.4, 1e-310))
+        assert math.isfinite(mixing_time(ROOM, p.material)) and cpr(p) == math.inf
+        assert co_cross_ratio(1e-9, p) == math.inf
+        npt.assert_array_equal(co_cross_ratio(np.array([1e-9, 60e-9]), p), [math.inf] * 2)
 
 
 class TestCpr:
