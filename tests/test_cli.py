@@ -153,9 +153,16 @@ class TestSimulate:
         assert trace.scale == "db"
         assert trace.delays.size == 20
 
-    def test_worker_count_leaves_every_output_byte_identical(self, tmp_path):
-        # three chunks, so a reduction out of chunk order would change the bytes
-        cfg = write_config(tmp_path, self.SIM.replace("realizations: 1500", "realizations: 5000"))
+    @pytest.mark.parametrize("link", [None, "link: {distance_m: 1.8, los: false}\n"],
+                             ids=["uniform", "fixed_nlos"])
+    def test_worker_count_leaves_every_output_byte_identical(self, tmp_path, link):
+        # three chunks, so a reduction out of chunk order would change the bytes;
+        # at a fixed NLOS distance they run the rejection sampler without the
+        # direct image
+        text = self.SIM.replace("realizations: 1500", "realizations: 5000")
+        if link:
+            text = text.replace("20.0}", "20.0, placement: fixed}") + link
+        cfg = write_config(tmp_path, text)
         runs = []
         for workers in ("1", "2"):
             prefix = tmp_path / f"w{workers}"
@@ -210,7 +217,7 @@ class TestFit:
             "link: {distance_m: 1.8, los: false}\n"
             "pulse: {kind: boxcar, bandwidth_hz: 0.5e9}\n"
             "fit: {g0: 0.5, gamma0: 0.1, xi0: 0.05, noise0: 1.0e-10}\n"
-        ))
+        ), name="meas.yaml")
         return config, paths
 
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -483,131 +490,22 @@ class TestExitCodes:
         assert capsys.readouterr().out == "simulated 1500 realizations (seed 11)\n"
         assert read_trace_csv(f"{prefix}_cross.csv").delays.size == 20
 
-    def test_invalid_config_is_validation_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE.replace("g: 0.4", "g: 1.4"))
-        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "material" in capsys.readouterr().err
 
-    def test_missing_section_for_command(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE)  # no [simulation]
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "simulation" in capsys.readouterr().err
-
-    def test_non_finite_config_value_is_validation_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE.replace("stop_ns: 60.0", "stop_ns: .inf"))
-        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "grid.stop_ns" in capsys.readouterr().err
-
-    # Finite values whose derived quantity under- or overflows, is too large
-    # to build, or would end past its stop (2.2 ns is 5.5 steps of 0.4 ns).
-    @pytest.mark.parametrize(
-        "old, new, key",
-        [
-            ("start_ns: 0.0, stop_ns: 60.0", "start_ns: -1.0e+308, stop_ns: 1.0e+308",
-             "grid.step_ns"),
-            ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 1.0e+7, step_ns: 1.0e-3", "grid.step_ns"),
-            ("stop_ns: 60.0, step_ns: 0.1", "stop_ns: 2.2, step_ns: 0.4", "grid.step_ns"),
-            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e-110, ly: 1.0e-110, lz: 1.0e-110",
-             "[room] room volume must be > 0, got 0.0"),
-            ("lx: 3.0, ly: 4.0, lz: 3.0", "lx: 1.0e+103, ly: 1.0e+103, lz: 1.0e+103",
-             "[room] room volume must be > 0 and finite, got inf"),
-            ("lx: 3.0,", "lx: 5.0e-324,", "[room] room dimension lx 5e-324 squared must be > 0"),
-            ("lx: 3.0,", "lx: 1.0e+200,",
-             "[room] room dimension lx 1e+200 squared must be > 0 and finite"),
-        ],
-        ids=["grid_overflow", "grid_too_many_samples", "grid_past_stop", "room_volume_underflow",
-             "room_volume_overflow", "room_side_square_underflow", "room_side_square_overflow"],
-    )
-    def test_degenerate_derived_value_is_validation_error(self, tmp_path, capsys, old, new, key):
-        cfg = write_config(tmp_path, BASE.replace(old, new))
-        code = main(["eval", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert key in capsys.readouterr().err
-
-    # Simulation settings the config accepts but the simulator cannot run.
-    @pytest.mark.parametrize(
-        "extra, message",
-        [
-            ("link: {distance_m: 5.82}\n"
-             "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
-             "placement: fixed}\n", "could not place"),
-            ("link: {distance_m: 1.0e-17}\n"
-             "simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
-             "placement: fixed}\n", "fixed distance 1e-17 m is below"),
-            ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 1.0e+5}\n",
-             "lower max_delay"),
-            ("simulation: {realizations: 10, bin_width_ns: 1.0e-9, max_delay_ns: 20.0}\n",
-             "[simulation] bin_width must divide max_delay into a whole number of steps "
-             "from 2 to 10000000, got 20000000000\n"),
-            ("simulation: {realizations: 1000000000000, bin_width_ns: 1.0, max_delay_ns: 20.0}\n",
-             "[simulation] n_realizations must be <= 1000000000, got 1000000000000"),
-        ],
-        ids=["unplaceable_distance", "distance_below_rounding_floor", "image_cube_too_large",
-             "too_many_bins", "too_many_realizations"],
-    )
-    def test_unrunnable_simulation_is_validation_error(self, tmp_path, capsys, extra, message):
-        cfg = write_config(tmp_path, BASE + extra)
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert message in capsys.readouterr().err
-
-
-class TestUnusableDistance:
-    # d * d underflows to 0 at 1e-200 m and overflows to inf at 1e200 m, and
-    # direct_path and cpr_distance divide by d**2: every command must reject
-    # such a distance by name, with no traceback and no RuntimeWarning.
-    LINK = BASE + (
-        "pulse: {kind: boxcar, bandwidth_hz: 0.5e9}\n"
-        "link: {distance_m: %s, los: true}\n"
-    )
-    FIXED = ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
-             "placement: fixed}\n")
-
-    @staticmethod
-    def run_cleanly(argv, capsys):
-        """Exit code and stderr of `main`, which may warn nothing."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert not caught, [str(w.message) for w in caught]
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and "Warning" not in err
-        return code, err
-
-    @pytest.mark.parametrize("distance", ["1.0e-200", "1.0e+200"])
-    @pytest.mark.parametrize("command", ["eval", "fit", "simulate"])
-    def test_link_distance_is_a_validation_error(self, tmp_path, capsys, command, distance):
-        text = self.LINK % distance + (self.FIXED if command == "simulate" else "")
-        cfg = write_config(tmp_path, text, name="link.yaml")
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv")]
-        if command == "fit":
-            _, paths = TestFit().make_inputs(tmp_path)
-            argv += ["--co", paths["co"], "--cross", paths["cross"]]
-        code, err = self.run_cleanly(argv, capsys)
-        assert code == 2
-        assert err.startswith(f"error: [link] distance {float(distance)} squared must be > 0")
-
-    def test_cpr_distance_is_a_validation_error(self, tmp_path, capsys):
-        text = TestCpr.CFG.replace("[0.5, 1.35, 1.8, 3.3, 50.0, 500.0]", "[1.8, 1.0e-200]")
-        cfg = write_config(tmp_path, text)
-        code, err = self.run_cleanly(["cpr", "--config", cfg, "--out", str(tmp_path / "x.csv")],
-                                     capsys)
-        assert code == 2
-        assert err.startswith("error: [cpr.distances_m] distance 1e-200 squared must be > 0")
-
-
-class TestUnrepresentableMagnitudes:
-    # The room's sides and the wavelength follow the distance rule, the
-    # power scale c lam^2 / 2V must be a positive finite double, and the peak
-    # power c lam^2 / V (k_co + k_cross) and the direct-path weight finite:
-    # each command either runs or exits 2 naming the value, with no traceback
-    # and no RuntimeWarning; a refused run prints nothing to stdout and writes
-    # no report. A small leakage gamma keeps a finite ratio, and one whose
-    # ratio passes the largest double (1e-310) or whose T_p overflows gives
-    # inf rather than NaN.
+class TestRunOrRefuse:
+    # Each config value a command refuses, and each extreme one it must still
+    # run. Refused: a missing key or section, a value outside its range, a
+    # derived grid that overflows, is too large to build or would end past its
+    # stop (2.2 ns is 5.5 steps of 0.4 ns), a simulation the simulator cannot
+    # run, and a squared length that is not a positive finite double: d * d
+    # underflows to 0 at 1e-200 m and overflows at 1e200 m, and direct_path
+    # and cpr_distance divide by d**2; the room's sides and the wavelength
+    # follow the same rule. So are a power scale c lam^2 / 2V, a peak power
+    # c lam^2 / V (k_co + k_cross) and a direct-path weight that overflow.
+    # Run: a small leakage gamma keeps a finite ratio, and one whose ratio
+    # passes the largest double (1e-310) or whose T_p overflows gives inf
+    # rather than NaN. A row exits 0 with its message on stdout, or exits 2
+    # with it on stderr, which starts `error: `, before it prints anything or
+    # writes its report; no row warns or prints a traceback.
     CFG = (
         "room: {lx: 3.0, ly: 4.0, lz: 3.0}\n"
         "carrier: {wavelength_m: 0.005}\n"
@@ -615,9 +513,16 @@ class TestUnrepresentableMagnitudes:
         "antennas: {xi: 0.1}\n"
         "grid: {start_ns: 0.0, stop_ns: 60.0, step_ns: 0.1}\n"
         "link: {distance_m: 1.8, los: false}\n"
+        "pulse: {kind: boxcar, bandwidth_hz: 0.5e9}\n"
         "simulation: {realizations: 64, seed: 7, bin_width_ns: 1.0, max_delay_ns: 40.0}\n"
         "cpr: {distances_m: [0.5, 1.35, 1.8, 3.3]}\n"
     )
+    FIXED = ("simulation: {realizations: 10, bin_width_ns: 1.0, max_delay_ns: 20.0, "
+             "placement: fixed}")
+    SHORT_LINK = "link: {distance_m: 1.0e-200, los: true}"
+    LONG_LINK = "link: {distance_m: 1.0e+200, los: true}"
+    SHORT = "error: [link] distance 1e-200 squared must be > 0"
+    LONG = "error: [link] distance 1e+200 squared must be > 0"
     TINY_SIDE = "error: [room] room dimension lx 5e-324 squared must be > 0, got 0.0"
     HUGE_SIDE = "error: [room] room dimension lx 1e+200 squared must be > 0 and finite"
     HUGE_LAM = "error: [carrier] wavelength 1e+200 squared must be > 0 and finite"
@@ -630,61 +535,103 @@ class TestUnrepresentableMagnitudes:
     NEAR_LOS = ["wavelength_m: 1.0e+100", "distance_m: 1.0e-100", "los: true"]
     DIRECT = "error: direct path weight must be finite and >= 0, got inf"
 
-    @pytest.mark.parametrize(
-        "command, edits, code, message",
-        [
-            ("eval", ["lx: 5.0e-324"], 2, TINY_SIDE),
-            ("cpr", ["lx: 5.0e-324"], 2, TINY_SIDE),
-            ("simulate", ["lx: 5.0e-324"], 2, TINY_SIDE),
-            ("simulate", ["lx: 1.0e+200"], 2, HUGE_SIDE),
-            ("simulate", ["lx: 1.0e+200", "max_delay_ns: 40.0, placement: fixed"], 2, HUGE_SIDE),
-            ("eval", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
-            ("cpr", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
-            ("simulate", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM),
-            ("eval", ["wavelength_m: 1.0e+152"], 2, SCALE),
-            ("simulate", ["wavelength_m: 1.0e+150"], 2, SCALE),
-            ("eval", ["wavelength_m: 1.0e-200"], 2, TINY_LAM),
-            ("simulate", ["wavelength_m: 1.0e-200"], 2, TINY_LAM),
-            ("eval", ["gamma: 1.0e-17"], 0, "CPR(d=1.8 m, NLOS) = 2.3772e+17\n"),
-            ("cpr", ["gamma: 1.0e-17"], 0, "wrote"),
-            ("cpr", ["gamma: 1.0e-310"], 0, "wrote"),
-            ("eval", ["gamma: 5.0e-324"], 0, "CPR(d=1.8 m, NLOS) = inf\n"),
-            ("eval", [HUGE_GAINS], 2, PEAK),
-            ("cpr", [HUGE_GAINS], 2, PEAK),
-            ("simulate", [HUGE_GAINS], 2, PEAK),
-            ("cpr", WIDE_LAM_GAINS, 2, PEAK),
-            ("eval", NEAR_LOS, 2, DIRECT),
-            ("cpr", NEAR_LOS, 0, "wrote"),
-            ("simulate", NEAR_LOS, 0, "wrote"),
-            ("eval", ["antennas: {mu_t: [0.0, 0.0], mu_r: [0.0, 0.0]}"], 0, "CPR = inf\n"),
-        ],
-        ids=["eval-side-tiny", "cpr-side-tiny", "simulate-side-tiny", "simulate-side-huge",
-             "simulate-fixed-side-huge", "eval-wavelength-huge", "cpr-wavelength-huge",
-             "simulate-wavelength-huge", "eval-power-scale-overflow",
-             "simulate-power-scale-overflow", "eval-wavelength-tiny", "simulate-wavelength-tiny",
-             "eval-gamma-tiny", "cpr-gamma-tiny", "cpr-gamma-subnormal",
-             "eval-mixing-time-overflow",
-             "eval-peak-power-overflow", "cpr-peak-power-overflow",
-             "simulate-peak-power-overflow", "cpr-wavelength-gains-overflow",
-             "eval-direct-weight-overflow", "cpr-direct-weight-unused",
-             "simulate-direct-weight-unused", "eval-zero-gains"],
-    )
-    def test_command_runs_or_names_the_value(self, tmp_path, capsys, command, edits, code,
-                                             message):
+    @pytest.mark.parametrize("command, edits, code, message", [
+        pytest.param("eval", ["g: 1.4"], 2, "material", id="eval-g-above-one"),
+        pytest.param("eval", ["room: {lx: 3.0, ly: 4.0}"], 2,
+                     "error: missing config key 'room.lz'", id="eval-room-without-lz"),
+        pytest.param("simulate", ["simulation: null"], 2, "simulation",
+                     id="simulate-without-simulation"),
+        pytest.param("eval", ["stop_ns: .inf"], 2, "grid.stop_ns", id="eval-grid-stop-inf"),
+        pytest.param("eval", ["start_ns: -1.0e+308", "stop_ns: 1.0e+308"], 2, "grid.step_ns",
+                     id="eval-grid-overflow"),
+        pytest.param("eval", ["stop_ns: 1.0e+7", "step_ns: 1.0e-3"], 2, "grid.step_ns",
+                     id="eval-grid-too-many-samples"),
+        pytest.param("eval", ["stop_ns: 2.2", "step_ns: 0.4"], 2, "grid.step_ns",
+                     id="eval-grid-past-stop"),
+        pytest.param("eval", ["lx: 1.0e-110", "ly: 1.0e-110", "lz: 1.0e-110"], 2,
+                     "[room] room volume must be > 0, got 0.0", id="eval-room-volume-underflow"),
+        pytest.param("eval", ["lx: 1.0e+103", "ly: 1.0e+103", "lz: 1.0e+103"], 2,
+                     "[room] room volume must be > 0 and finite, got inf",
+                     id="eval-room-volume-overflow"),
+        pytest.param("eval", ["lx: 5.0e-324"], 2, TINY_SIDE, id="eval-side-tiny"),
+        pytest.param("cpr", ["lx: 5.0e-324"], 2, TINY_SIDE, id="cpr-side-tiny"),
+        pytest.param("simulate", ["lx: 5.0e-324"], 2, TINY_SIDE, id="simulate-side-tiny"),
+        pytest.param("eval", ["lx: 1.0e+200"], 2, HUGE_SIDE, id="eval-side-huge"),
+        pytest.param("simulate", ["lx: 1.0e+200"], 2, HUGE_SIDE, id="simulate-side-huge"),
+        pytest.param("simulate", ["lx: 1.0e+200", "max_delay_ns: 40.0, placement: fixed"], 2,
+                     HUGE_SIDE, id="simulate-fixed-side-huge"),
+        pytest.param("eval", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM, id="eval-wavelength-huge"),
+        pytest.param("cpr", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM, id="cpr-wavelength-huge"),
+        pytest.param("simulate", ["wavelength_m: 1.0e+200"], 2, HUGE_LAM,
+                     id="simulate-wavelength-huge"),
+        pytest.param("eval", ["wavelength_m: 1.0e+152"], 2, SCALE,
+                     id="eval-power-scale-overflow"),
+        pytest.param("simulate", ["wavelength_m: 1.0e+150"], 2, SCALE,
+                     id="simulate-power-scale-overflow"),
+        pytest.param("eval", ["wavelength_m: 1.0e-200"], 2, TINY_LAM, id="eval-wavelength-tiny"),
+        pytest.param("simulate", ["wavelength_m: 1.0e-200"], 2, TINY_LAM,
+                     id="simulate-wavelength-tiny"),
+        pytest.param("eval", [SHORT_LINK], 2, SHORT, id="eval-link-distance-tiny"),
+        pytest.param("eval", [LONG_LINK], 2, LONG, id="eval-link-distance-huge"),
+        pytest.param("fit", [SHORT_LINK], 2, SHORT, id="fit-link-distance-tiny"),
+        pytest.param("fit", [LONG_LINK], 2, LONG, id="fit-link-distance-huge"),
+        pytest.param("simulate", [SHORT_LINK, FIXED], 2, SHORT, id="simulate-link-distance-tiny"),
+        pytest.param("simulate", [LONG_LINK, FIXED], 2, LONG, id="simulate-link-distance-huge"),
+        pytest.param("cpr", ["cpr: {distances_m: [1.8, 1.0e-200]}"], 2,
+                     "error: [cpr.distances_m] distance 1e-200 squared must be > 0",
+                     id="cpr-distance-tiny"),
+        pytest.param("simulate", ["link: {distance_m: 5.82}", FIXED], 2, "could not place",
+                     id="simulate-unplaceable-distance"),
+        pytest.param("simulate", ["link: {distance_m: 1.0e-17}", FIXED], 2,
+                     "fixed distance 1e-17 m is below",
+                     id="simulate-distance-below-rounding-floor"),
+        pytest.param("simulate", ["simulation: {realizations: 10, bin_width_ns: 1.0, "
+                                  "max_delay_ns: 1.0e+5}"], 2, "lower max_delay",
+                     id="simulate-image-cube-too-large"),
+        pytest.param("simulate", ["simulation: {realizations: 10, bin_width_ns: 1.0e-9, "
+                                  "max_delay_ns: 20.0}"], 2,
+                     "[simulation] bin_width must divide max_delay into a whole number of "
+                     "steps from 2 to 10000000, got 20000000000\n", id="simulate-too-many-bins"),
+        pytest.param("simulate", ["simulation: {realizations: 1000000000000, bin_width_ns: 1.0, "
+                                  "max_delay_ns: 20.0}"], 2,
+                     "[simulation] n_realizations must be <= 1000000000, got 1000000000000",
+                     id="simulate-too-many-realizations"),
+        pytest.param("eval", ["gamma: 1.0e-17"], 0, "CPR(d=1.8 m, NLOS) = 2.3772e+17\n",
+                     id="eval-gamma-tiny"),
+        pytest.param("cpr", ["gamma: 1.0e-17"], 0, "wrote", id="cpr-gamma-tiny"),
+        pytest.param("cpr", ["gamma: 1.0e-310"], 0, "wrote", id="cpr-gamma-subnormal"),
+        pytest.param("eval", ["gamma: 5.0e-324"], 0, "CPR(d=1.8 m, NLOS) = inf\n",
+                     id="eval-mixing-time-overflow"),
+        pytest.param("eval", [HUGE_GAINS], 2, PEAK, id="eval-peak-power-overflow"),
+        pytest.param("cpr", [HUGE_GAINS], 2, PEAK, id="cpr-peak-power-overflow"),
+        pytest.param("simulate", [HUGE_GAINS], 2, PEAK, id="simulate-peak-power-overflow"),
+        pytest.param("cpr", WIDE_LAM_GAINS, 2, PEAK, id="cpr-wavelength-gains-overflow"),
+        pytest.param("eval", NEAR_LOS, 2, DIRECT, id="eval-direct-weight-overflow"),
+        pytest.param("cpr", NEAR_LOS, 0, "wrote", id="cpr-direct-weight-unused"),
+        pytest.param("simulate", NEAR_LOS, 0, "wrote", id="simulate-direct-weight-unused"),
+        pytest.param("eval", ["antennas: {mu_t: [0.0, 0.0], mu_r: [0.0, 0.0]}"], 0,
+                     "CPR = inf\n", id="eval-zero-gains"),
+    ])
+    def test_command_runs_or_refuses(self, tmp_path, capsys, command, edits, code, message):
         text = self.CFG
         for edit in edits:  # "key: value" replaces the key's value, or a section's line, in CFG
             key = edit.split(":", 1)[0]
             text = re.sub(rf"(?m)^{key}: .*|\b{key}: [^,}}]+", edit, text)
-        cfg = write_config(tmp_path, text)
         out = tmp_path / "x.csv"
+        argv = [command, "--config", write_config(tmp_path, text), "--out", str(out)]
+        if command == "fit":
+            _, paths = TestFit().make_inputs(tmp_path)
+            argv += ["--co", paths["co"], "--cross", paths["cross"]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            exit_code = main([command, "--config", cfg, "--out", str(out)])
+            exit_code = main(argv)
         assert not caught, [str(w.message) for w in caught]
         captured = capsys.readouterr()
         assert exit_code == code, captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert message in (captured.err if code else captured.out)
-        if code:
+        if code == 2:
+            assert captured.err.startswith("error: ")
             assert captured.out == ""
             assert not out.exists()
 
