@@ -554,6 +554,9 @@ class TestRunOrRefuse:
                      "[room] room volume must be > 0 and finite, got inf",
                      id="eval-room-volume-overflow"),
         pytest.param("eval", ["lx: 5.0e-324"], 2, TINY_SIDE, id="eval-side-tiny"),
+        pytest.param("eval", ["ly: 1.0e-200"], 2,
+                     "error: [room] room dimension ly 1e-200 squared must be > 0, got 0.0",
+                     id="eval-side-square-underflow"),
         pytest.param("cpr", ["lx: 5.0e-324"], 2, TINY_SIDE, id="cpr-side-tiny"),
         pytest.param("simulate", ["lx: 5.0e-324"], 2, TINY_SIDE, id="simulate-side-tiny"),
         pytest.param("eval", ["lx: 1.0e+200"], 2, HUGE_SIDE, id="eval-side-huge"),
